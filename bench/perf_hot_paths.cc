@@ -1,9 +1,10 @@
-// Performance — the per-tick hot paths outside the packer: thermal stepping,
-// EWMA updates, fabric accounting, and budget allocation.  These run once
-// per server (or per node) per demand period; their costs bound how short
-// ΔD can be for a given fleet size.
+// Performance — the per-tick hot paths: thermal stepping, EWMA updates,
+// fabric accounting, budget allocation, and the root-escalation FFDLR pack.
+// These run once per server (or per node) per demand period; their costs
+// bound how short ΔD can be for a given fleet size.
 #include <benchmark/benchmark.h>
 
+#include "binpack/pack.h"
 #include "core/allocation.h"
 #include "core/controller.h"
 #include "net/fabric.h"
@@ -61,6 +62,25 @@ void BM_Allocation(benchmark::State& state) {
     benchmark::DoNotOptimize(r.unallocated);
   }
   state.SetComplexityN(state.range(0));
+}
+
+// The shape of demand adaptation's root escalation: a handful of leftover
+// items offered to every server of a 10k fleet, most with little room left.
+void BM_FfdlrPack(benchmark::State& state) {
+  const auto n_items = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(5);
+  std::vector<binpack::Item> items;
+  for (std::size_t i = 0; i < n_items; ++i) {
+    items.push_back({i, rng.uniform(20.0, 110.0), 0});
+  }
+  std::vector<binpack::Bin> bins;
+  for (std::uint64_t b = 0; b < 10000; ++b) {
+    bins.push_back({b, rng.uniform(0.5, 120.0), 0});
+  }
+  for (auto _ : state) {
+    auto r = binpack::pack(items, bins, binpack::Algorithm::kFfdlr);
+    benchmark::DoNotOptimize(r.placed_size);
+  }
 }
 
 void BM_FabricMigration(benchmark::State& state) {
@@ -148,6 +168,7 @@ BENCHMARK(BM_ThermalStep);
 BENCHMARK(BM_PowerLimit);
 BENCHMARK(BM_EwmaUpdate);
 BENCHMARK(BM_Allocation)->RangeMultiplier(4)->Range(4, 256)->Complexity();
+BENCHMARK(BM_FfdlrPack)->Arg(1)->Arg(4)->Arg(16)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_FabricMigration);
 BENCHMARK(BM_ControllerTick)
     ->ArgsProduct({{1000, 10000}, {0, 1}, {0, 1}})

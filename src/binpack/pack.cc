@@ -5,28 +5,36 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace willow::binpack {
 
 namespace {
 
+// The sorts below order by size or capacity with the input index breaking
+// exact ties: a strict total order, so std::sort needs no stability to be
+// deterministic.  A NaN would break that order, hence the negated checks.
 void check_inputs(const std::vector<Item>& items, const std::vector<Bin>& bins) {
   for (const auto& it : items) {
-    if (it.size < 0.0) throw std::invalid_argument("pack: negative item size");
+    if (!(it.size >= 0.0)) {
+      throw std::invalid_argument("pack: negative or NaN item size");
+    }
   }
   for (const auto& b : bins) {
-    if (b.capacity < 0.0) throw std::invalid_argument("pack: negative capacity");
+    if (!(b.capacity >= 0.0)) {
+      throw std::invalid_argument("pack: negative or NaN capacity");
+    }
   }
 }
 
 /// Item indices sorted by decreasing size; exact size ties break toward the
-/// lower input index.  The tie-break is explicit (not just stable_sort's
-/// preserved order) so the ordering is a documented function of the inputs
-/// that callers — e.g. the controller's packing memo — can rely on.
+/// lower input index.  The tie-break is explicit so the ordering is a
+/// documented function of the inputs that callers — e.g. the controller's
+/// packing memo — can rely on.
 std::vector<std::size_t> by_decreasing_size(const std::vector<Item>& items) {
   std::vector<std::size_t> order(items.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     if (items[a].size != items[b].size) return items[a].size > items[b].size;
     return a < b;
   });
@@ -137,25 +145,35 @@ PackResult ffdlr(const std::vector<Item>& items, const std::vector<Bin>& bins) {
   // Step 4: repack each virtual bin's contents into the smallest feasible
   // real bin.  Virtual bins are taken largest-content first so the scarce
   // big real bins go to the groups that need them.
-  std::vector<std::size_t> real_by_cap(bins.size());
-  std::iota(real_by_cap.begin(), real_by_cap.end(), std::size_t{0});
-  std::stable_sort(real_by_cap.begin(), real_by_cap.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     if (bins[a].capacity != bins[b].capacity) {
-                       return bins[a].capacity < bins[b].capacity;
-                     }
-                     return a < b;
-                   });
+  // Only bins that fit the smallest group can take any group, so only those
+  // are ordered: (capacity, index) pairs sort by capacity with the index
+  // breaking exact ties.  A wide fleet offered a few leftover items (the
+  // root escalation) mostly has bins too small for any of them.
+  std::vector<std::pair<double, std::size_t>> real_by_cap;
+  if (!virt.empty()) {
+    const double smallest = virt.back().content;
+    for (std::size_t b = 0; b < bins.size(); ++b) {
+      if (fits(bins[b].capacity, smallest)) {
+        real_by_cap.emplace_back(bins[b].capacity, b);
+      }
+    }
+  }
+  std::sort(real_by_cap.begin(), real_by_cap.end());
 
   MutableBins state(bins);
   std::vector<bool> bin_used(bins.size(), false);
   std::vector<std::size_t> leftovers;
   for (const auto& vb : virt) {
-    // Smallest unused real bin that fits the whole group.
+    // Smallest unused real bin that fits the whole group.  fits() is
+    // monotone in capacity, so the fitting bins are a suffix of real_by_cap:
+    // binary-search its start, then skip bins earlier groups took.
     std::size_t chosen = bins.size();
-    for (std::size_t b : real_by_cap) {
-      if (!bin_used[b] && fits(bins[b].capacity, vb.content)) {
-        chosen = b;
+    auto it = std::partition_point(
+        real_by_cap.begin(), real_by_cap.end(),
+        [&](const auto& bin) { return !fits(bin.first, vb.content); });
+    for (; it != real_by_cap.end(); ++it) {
+      if (!bin_used[it->second]) {
+        chosen = it->second;
         break;
       }
     }
@@ -174,13 +192,13 @@ PackResult ffdlr(const std::vector<Item>& items, const std::vector<Bin>& bins) {
   // best-fit into remaining residual capacity, including bins already used —
   // the planner prefers filling servers completely (Sec. IV-F: "repacking
   // into smaller bins means we try to run every server at full utilization").
-  std::stable_sort(leftovers.begin(), leftovers.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     if (items[a].size != items[b].size) {
-                       return items[a].size > items[b].size;
-                     }
-                     return a < b;
-                   });
+  std::sort(leftovers.begin(), leftovers.end(),
+            [&](std::size_t a, std::size_t b) {
+              if (items[a].size != items[b].size) {
+                return items[a].size > items[b].size;
+              }
+              return a < b;
+            });
   for (std::size_t item : leftovers) {
     const double size = items[item].size;
     std::size_t chosen = bins.size();
@@ -235,13 +253,13 @@ VirtualGroups ffdlr_virtual_groups(const std::vector<Item>& items,
   }
 
   // Step 4's consumption order: largest content first.  Equal content: the
-  // earlier-created group (lower leading item index) first — explicit, not
-  // relying on stability alone.
-  std::stable_sort(out.groups.begin(), out.groups.end(),
-                   [](const VirtualGroup& a, const VirtualGroup& b) {
-                     if (a.content != b.content) return a.content > b.content;
-                     return a.items.front() < b.items.front();
-                   });
+  // earlier-created group (lower leading item index) first.  Every item leads
+  // at most one group, so the order is total.
+  std::sort(out.groups.begin(), out.groups.end(),
+            [](const VirtualGroup& a, const VirtualGroup& b) {
+              if (a.content != b.content) return a.content > b.content;
+              return a.items.front() < b.items.front();
+            });
   return out;
 }
 

@@ -11,15 +11,16 @@ namespace {
 constexpr double kEps = 1e-12;
 
 /// Distribute `amount` over entries proportional to weights[i], clamping each
-/// entry's cumulative value at limit[i].  Mutates `value`; returns leftover
-/// that could not be placed.
+/// entry's cumulative value at limit[i].  Mutates `value`; `frozen` is working
+/// storage.  Returns leftover that could not be placed.
 double water_fill(double amount, const std::vector<double>& weights,
-                  const std::vector<double>& limit, std::vector<double>& value) {
+                  const std::vector<double>& limit, std::vector<double>& value,
+                  std::vector<char>& frozen) {
   const std::size_t n = weights.size();
-  std::vector<bool> frozen(n, false);
+  frozen.assign(n, 0);
   // A node with zero weight never receives anything in this pass.
   for (std::size_t i = 0; i < n; ++i) {
-    if (weights[i] <= kEps || limit[i] - value[i] <= kEps) frozen[i] = true;
+    if (weights[i] <= kEps || limit[i] - value[i] <= kEps) frozen[i] = 1;
   }
   while (amount > kEps) {
     double wsum = 0.0;
@@ -36,7 +37,7 @@ double water_fill(double amount, const std::vector<double>& weights,
       if (share >= headroom - kEps) {
         value[i] += headroom;
         placed += headroom;
-        frozen[i] = true;
+        frozen[i] = 1;
         clamped = true;
       } else {
         value[i] += share;
@@ -57,6 +58,15 @@ double water_fill(double amount, const std::vector<double>& weights,
 AllocationResult allocate_proportional(Watts total,
                                        const std::vector<Watts>& demands,
                                        const std::vector<Watts>& caps) {
+  AllocationScratch scratch;
+  AllocationResult result;
+  allocate_proportional(total, demands, caps, scratch, result);
+  return result;
+}
+
+void allocate_proportional(Watts total, const std::vector<Watts>& demands,
+                           const std::vector<Watts>& caps,
+                           AllocationScratch& scratch, AllocationResult& out) {
   if (demands.size() != caps.size()) {
     throw std::invalid_argument(
         "allocate_proportional: demands/caps size mismatch");
@@ -65,14 +75,20 @@ AllocationResult allocate_proportional(Watts total,
     throw std::invalid_argument("allocate_proportional: negative total");
   }
   const std::size_t n = demands.size();
-  AllocationResult result;
-  result.budgets.assign(n, Watts{0.0});
+  out.budgets.assign(n, Watts{0.0});
   if (n == 0) {
-    result.unallocated = total;
-    return result;
+    out.unallocated = total;
+    return;
   }
 
-  std::vector<double> demand(n), cap(n), value(n, 0.0);
+  auto& demand = scratch.demand;
+  auto& cap = scratch.cap;
+  auto& value = scratch.value;
+  auto& limit = scratch.limit;
+  demand.resize(n);
+  cap.resize(n);
+  value.assign(n, 0.0);
+  limit.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     demand[i] = std::max(0.0, demands[i].value());
     cap[i] = std::max(0.0, caps[i].value());
@@ -81,25 +97,23 @@ AllocationResult allocate_proportional(Watts total,
 
   // Phase 1: satisfy demands (each node limited by min(demand, cap)),
   // shares proportional to demand.
-  std::vector<double> phase1_limit(n);
-  for (std::size_t i = 0; i < n; ++i) phase1_limit[i] = std::min(demand[i], cap[i]);
-  double leftover = water_fill(total.value(), demand, phase1_limit, value);
+  for (std::size_t i = 0; i < n; ++i) limit[i] = std::min(demand[i], cap[i]);
+  double leftover =
+      water_fill(total.value(), demand, limit, value, scratch.frozen);
 
   // Phase 2: spread surplus proportional to demand among nodes below cap.
   if (leftover > kEps) {
-    leftover = water_fill(leftover, demand, cap, value);
+    leftover = water_fill(leftover, demand, cap, value, scratch.frozen);
   }
   // Phase 2b: nodes with zero demand share any remaining surplus in
   // proportion to their cap headroom.
   if (leftover > kEps) {
-    std::vector<double> headroom(n);
-    for (std::size_t i = 0; i < n; ++i) headroom[i] = cap[i] - value[i];
-    leftover = water_fill(leftover, headroom, cap, value);
+    for (std::size_t i = 0; i < n; ++i) limit[i] = cap[i] - value[i];
+    leftover = water_fill(leftover, limit, cap, value, scratch.frozen);
   }
 
-  for (std::size_t i = 0; i < n; ++i) result.budgets[i] = Watts{value[i]};
-  result.unallocated = Watts{leftover};
-  return result;
+  for (std::size_t i = 0; i < n; ++i) out.budgets[i] = Watts{value[i]};
+  out.unallocated = Watts{leftover};
 }
 
 }  // namespace willow::core

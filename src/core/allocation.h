@@ -43,4 +43,22 @@ AllocationResult allocate_proportional(Watts total,
                                        const std::vector<Watts>& demands,
                                        const std::vector<Watts>& caps);
 
+/// Working storage for the overload below.  Reused across calls, it stops
+/// growing at the widest fan-out seen, after which a division allocates
+/// nothing.  Contents between calls are meaningless.
+struct AllocationScratch {
+  std::vector<double> demand;
+  std::vector<double> cap;
+  std::vector<double> value;
+  std::vector<double> limit;
+  std::vector<char> frozen;
+};
+
+/// allocate_proportional() into caller-owned `out`, working in `scratch`.
+/// Same arithmetic in the same order, so the result is bitwise equal to the
+/// allocating form; `out.budgets` is resized to demands.size().
+void allocate_proportional(Watts total, const std::vector<Watts>& demands,
+                           const std::vector<Watts>& caps,
+                           AllocationScratch& scratch, AllocationResult& out);
+
 }  // namespace willow::core

@@ -164,8 +164,14 @@ void Controller::ensure_topology_cache() {
   const auto& tree = cluster_.tree();
   if (cache_tree_size_ == tree.size()) return;
   cache_tree_size_ = tree.size();
-  bottom_up_ = tree.bottom_up();
-  top_down_ = tree.top_down();
+  internal_bottom_up_.clear();
+  for (NodeId id : tree.bottom_up()) {
+    if (!tree.node(id).is_leaf()) internal_bottom_up_.push_back(id);
+  }
+  internal_top_down_.clear();
+  for (NodeId id : tree.top_down()) {
+    if (!tree.node(id).is_leaf()) internal_top_down_.push_back(id);
+  }
   server_children_.assign(tree.size(), {});
   is_group_parent_.assign(tree.size(), 0);
   group_parents_.clear();
@@ -180,10 +186,8 @@ void Controller::ensure_topology_cache() {
       is_group_parent_[parent] = 1;
     }
   }
-  for (NodeId id : bottom_up_) {
-    if (!tree.node(id).is_leaf() && is_group_parent_[id]) {
-      group_parents_.push_back(id);
-    }
+  for (NodeId id : internal_bottom_up_) {
+    if (is_group_parent_[id]) group_parents_.push_back(id);
   }
 
   // Incremental-state reset: a new (or re-shaped) tree starts all-dirty so
@@ -197,6 +201,7 @@ void Controller::ensure_topology_cache() {
   cached_leaf_limit_.assign(ns, 0.0);
   cached_limit_version_.assign(ns, kNever);
   cached_sensor_version_.assign(ns, kNever);
+  leaf_limits_current_ = false;
   pending_directives_.clear();
   consol_entry_.assign(ns, {});
   consol_entry_epoch_.assign(ns, kNever);
@@ -255,39 +260,46 @@ Watts Controller::leaf_limit(std::size_t server_index) {
       cached_sensor_version_[server_index] != sv) {
     cached_limit_version_[server_index] = v;
     cached_sensor_version_[server_index] = sv;
-    const auto& th = srv.thermal();
-    Watts thermal_limit{0.0};
-    switch (srv.temp_sensor().mode) {
-      case fault::SensorMode::kOk:
-        // "So that the temperature does not exceed T_limit during the next
-        // adjustment window" (Sec. III-A): the window is one demand period.
-        thermal_limit = th.power_limit(config_.demand_period);
-        break;
-      case fault::SensorMode::kDropout: {
-        // Known-missing reading: fail safe to the steady-state envelope,
-        // which keeps T <= T_limit from *any* starting temperature — the
-        // conservative choice when the controller is blind.
-        const Watts ss = th.steady_state_power_limit();
-        thermal_limit = util::min(util::positive_part(ss),
-                                  th.params().nameplate);
-        break;
-      }
-      case fault::SensorMode::kStuck:
-      case fault::SensorMode::kBias:
-        // The controller believes the lying sensor — that is the fault being
-        // modeled.  A stuck-low sensor over-budgets a hot server; the plant
-        // keeps evolving on the true temperature.
-        thermal_limit = thermal::power_limit_from(
-            th.params(), srv.sensed_temperature(), config_.demand_period);
-        break;
-    }
-    cached_leaf_limit_[server_index] =
-        util::min(srv.circuit_limit(), thermal_limit).value();
+    cached_leaf_limit_[server_index] = compute_leaf_limit(server_index).value();
   }
   return Watts{cached_leaf_limit_[server_index]};
 }
 
+Watts Controller::compute_leaf_limit(std::size_t server_index) const {
+  const auto& srv = cluster_.server_at(server_index);
+  const auto& th = srv.thermal();
+  Watts thermal_limit{0.0};
+  switch (srv.temp_sensor().mode) {
+    case fault::SensorMode::kOk:
+      // "So that the temperature does not exceed T_limit during the next
+      // adjustment window" (Sec. III-A): the window is one demand period.
+      thermal_limit = th.power_limit(config_.demand_period);
+      break;
+    case fault::SensorMode::kDropout: {
+      // Known-missing reading: fail safe to the steady-state envelope,
+      // which keeps T <= T_limit from *any* starting temperature — the
+      // conservative choice when the controller is blind.
+      const Watts ss = th.steady_state_power_limit();
+      thermal_limit = util::min(util::positive_part(ss),
+                                th.params().nameplate);
+      break;
+    }
+    case fault::SensorMode::kStuck:
+    case fault::SensorMode::kBias:
+      // The controller believes the lying sensor — that is the fault being
+      // modeled.  A stuck-low sensor over-budgets a hot server; the plant
+      // keeps evolving on the true temperature.
+      thermal_limit = thermal::power_limit_from(
+          th.params(), srv.sensed_temperature(), config_.demand_period);
+      break;
+  }
+  return util::min(srv.circuit_limit(), thermal_limit);
+}
+
 void Controller::resolve_instruments() {
+  // Registered lazily by pack_and_apply against whichever bus is attached.
+  c_pack_calls_ = nullptr;
+  h_pack_items_ = nullptr;
   if (bus_ == nullptr) {
     c_budget_directives_ = nullptr;
     c_divisions_memoized_ = nullptr;
@@ -408,7 +420,7 @@ void Controller::apply_fallback_budgets() {
                               safe.value(), leaf.budget().value()));
       }
       leaf.set_budget(safe);
-      budget_reduced_[s] = true;
+      mark_budget_reduced(s);
       const NodeId p = leaf.parent();
       if (p != hier::kNoNode) division_dirty_[p] = 1;
       touch(s);
@@ -420,7 +432,7 @@ void Controller::apply_fallback_budgets() {
 void Controller::deliver_directive(NodeId id, Watts budget) {
   auto& tree = cluster_.tree();
   auto& n = tree.node(id);
-  if (budget < n.budget() - Watts{kEps}) budget_reduced_[id] = true;
+  if (budget < n.budget() - Watts{kEps}) mark_budget_reduced(id);
   if (bus_ != nullptr && bus_->enabled()) {
     bus_->emit(make_event(obs::EventType::kBudgetDirective, id, hier::kNoNode,
                           0, obs::Reason::kNone, budget.value(),
@@ -515,6 +527,9 @@ void Controller::retry_pending_directives() {
 void Controller::tick(Watts available_supply) {
   ++tick_;
   ensure_topology_cache();
+  // The thermal step, sensor faults and ambient events between ticks may have
+  // moved any leaf limit; the first supply pass of this tick re-sweeps.
+  leaf_limits_current_ = false;
   // The previous tick's transient booking (absorbed_w_/migrated_from_w_) is
   // about to reset below, which moves target_capacity() for every endpoint of
   // last tick's migrations.  Stamp those endpoints so the epoch-keyed
@@ -583,31 +598,57 @@ void Controller::shadow_check_hard_limit(NodeId id) {
   }
 }
 
+void Controller::shadow_check_leaf_limits() {
+  const auto& tree = cluster_.tree();
+  const auto& sids = cluster_.server_ids();
+  bool mismatch = false;
+  NodeId first = hier::kNoNode;
+  for (std::size_t i = 0; i < sids.size() && !mismatch; ++i) {
+    if (compute_leaf_limit(i).value() !=
+        tree.node(sids[i]).hard_limit().value()) {
+      mismatch = true;
+      first = sids[i];
+    }
+  }
+  count_shadow_check(mismatch);
+  if (mismatch) {
+    throw std::logic_error(
+        "Controller shadow diff: skipped leaf-limit sweep left server " +
+        std::to_string(first) + " on a stale hard limit");
+  }
+}
+
 void Controller::update_hard_limits() {
   auto& tree = cluster_.tree();
   const bool inc = config_.incremental;
   // Leaves first, by server index (flat scans, no id-hash lookups): a
   // server's limit moves only with its thermal state version, which
-  // leaf_limit() caches on.
-  const auto& sids = cluster_.server_ids();
-  for (std::size_t i = 0; i < sids.size(); ++i) {
-    auto& n = tree.node(sids[i]);
-    const Watts lim = leaf_limit(i);
-    if (lim.value() != n.hard_limit().value()) {
-      n.set_hard_limit(lim);
-      const NodeId p = n.parent();
-      if (p != hier::kNoNode) {
-        limit_dirty_[p] = 1;
-        division_dirty_[p] = 1;
+  // leaf_limit() caches on.  Inside one tick none of a leaf limit's inputs
+  // move, so only the tick's first pass sweeps; later wake-batch passes go
+  // straight to the roll-up.
+  if (leaf_limits_current_) {
+    if (config_.shadow_diff) shadow_check_leaf_limits();
+  } else {
+    leaf_limits_current_ = true;
+    const auto& sids = cluster_.server_ids();
+    for (std::size_t i = 0; i < sids.size(); ++i) {
+      auto& n = tree.node(sids[i]);
+      const Watts lim = leaf_limit(i);
+      if (lim.value() != n.hard_limit().value()) {
+        n.set_hard_limit(lim);
+        const NodeId p = n.parent();
+        if (p != hier::kNoNode) {
+          limit_dirty_[p] = 1;
+          division_dirty_[p] = 1;
+        }
       }
     }
   }
   // Internal roll-up, children before parents; clean subtrees keep their
   // cached sums.  (Non-server leaves keep their infinite default, as in the
   // full walk, which never touched them either.)
-  for (NodeId id : bottom_up_) {
+  for (NodeId id : internal_bottom_up_) {
     auto& n = tree.node(id);
-    if (n.is_leaf()) continue;
     if (inc && !limit_dirty_[id]) {
       if (config_.shadow_diff) shadow_check_hard_limit(id);
       continue;
@@ -667,16 +708,19 @@ void Controller::supply_adaptation(Watts available_supply) {
   update_hard_limits();
   if (budget_reduced_.size() != tree.size()) {
     budget_reduced_.assign(tree.size(), false);
+    budget_reduced_ids_.clear();
   } else {
-    for (NodeId id = 0; id < budget_reduced_.size(); ++id) {
-      if (budget_reduced_[id]) {
-        budget_reduced_[id] = false;
-        // Clearing the flag changes this node's eligibility under the
-        // unidirectional rule even though no budget moved; stamp it so
-        // cached consolidation verdicts that saw the old flag die.
-        touch(id);
-      }
+    // Ascending NodeId, the order a scan of the whole flag vector would
+    // visit them, so the touch() sequence (and every epoch) is unchanged.
+    std::sort(budget_reduced_ids_.begin(), budget_reduced_ids_.end());
+    for (NodeId id : budget_reduced_ids_) {
+      budget_reduced_[id] = false;
+      // Clearing the flag changes this node's eligibility under the
+      // unidirectional rule even though no budget moved; stamp it so
+      // cached consolidation verdicts that saw the old flag die.
+      touch(id);
     }
+    budget_reduced_ids_.clear();
   }
 
   const bool observe = bus_ != nullptr && bus_->enabled();
@@ -738,9 +782,8 @@ void Controller::supply_adaptation(Watts available_supply) {
   const NodeId root = tree.root();
   mark_and_set(root, util::min(available_supply, tree.node(root).hard_limit()));
 
-  for (NodeId id : top_down_) {
+  for (NodeId id : internal_top_down_) {
     auto& n = tree.node(id);
-    if (n.is_leaf()) continue;
     if (inc && !division_dirty_[id]) {
       // Own budget, child demand vector and child capacities all unchanged
       // since this division last ran: the children's budgets stand.
@@ -762,8 +805,8 @@ void Controller::supply_adaptation(Watts available_supply) {
               ? (child.active() ? child.reported_demand() : Watts{0.0})
               : caps[i];
     }
-    const AllocationResult alloc =
-        allocate_proportional(n.budget(), demands, caps);
+    auto& alloc = alloc_result_;
+    allocate_proportional(n.budget(), demands, caps, alloc_scratch_, alloc);
     for (std::size_t i = 0; i < kids.size(); ++i) {
       mark_and_set(kids[i], alloc.budgets[i]);
     }
@@ -796,7 +839,7 @@ void Controller::enforce_thermal_limits() {
                               limit.value(), leaf.budget().value()));
       }
       leaf.set_budget(limit);
-      budget_reduced_[s] = true;
+      mark_budget_reduced(s);
       thermally_clamped_[s] = 1;
       // The clamp knocked this leaf off its parent's allocation; the next
       // supply pass must re-divide (and will re-announce) or the two walk
@@ -806,6 +849,12 @@ void Controller::enforce_thermal_limits() {
       touch(s);
     }
   }
+}
+
+void Controller::mark_budget_reduced(NodeId node) {
+  if (budget_reduced_[node]) return;
+  budget_reduced_[node] = true;
+  budget_reduced_ids_.push_back(node);
 }
 
 bool Controller::eligible_target(NodeId target_server, NodeId scope) const {
@@ -863,14 +912,15 @@ std::vector<Controller::PlanItem> Controller::select_victims(
     sorted.push_back(&a);
   }
   // Deterministic victim order independent of the container's history: by
-  // demand, app id breaking exact ties.
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Application* a, const Application* b) {
-                     if (a->demand().value() != b->demand().value()) {
-                       return a->demand() > b->demand();
-                     }
-                     return a->id() < b->id();
-                   });
+  // demand, app id breaking exact ties (ids are unique, so the order is
+  // total and an unstable sort yields it).
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Application* a, const Application* b) {
+              if (a->demand().value() != b->demand().value()) {
+                return a->demand() > b->demand();
+              }
+              return a->id() < b->id();
+            });
   std::vector<PlanItem> items;
   Watts covered{0.0};
   for (const Application* a : sorted) {
@@ -1008,10 +1058,14 @@ void Controller::apply_migration(const PlanItem& item, NodeId target) {
 std::vector<std::size_t> Controller::pack_and_apply(
     std::vector<PlanItem>& items, const std::vector<NodeId>& targets) {
   if (bus_ != nullptr) {
-    auto& m = bus_->metrics();
-    m.counter("controller.pack_calls").increment();
-    m.histogram("controller.pack_items", {1, 2, 4, 8, 16, 32, 64, 128})
-        .observe(static_cast<double>(items.size()));
+    if (c_pack_calls_ == nullptr) {
+      auto& m = bus_->metrics();
+      c_pack_calls_ = &m.counter("controller.pack_calls");
+      h_pack_items_ =
+          &m.histogram("controller.pack_items", {1, 2, 4, 8, 16, 32, 64, 128});
+    }
+    c_pack_calls_->increment();
+    h_pack_items_->observe(static_cast<double>(items.size()));
   }
   std::uint64_t items_sig = kFnvOffset;
   bp_items_scratch_.clear();
@@ -1124,8 +1178,7 @@ void Controller::demand_adaptation() {
     // of the whole subtree (the local pass already exhausted same-group
     // surpluses, so placements here are effectively non-local).
     if (!pending.empty()) {
-      for (NodeId p : bottom_up_) {
-        if (tree.node(p).is_leaf()) continue;
+      for (NodeId p : internal_bottom_up_) {
         if (is_group_parent_[p] && p != tree.root()) continue;  // local pass done
         std::vector<PlanItem> in_scope;
         std::vector<PlanItem> out_of_scope;
@@ -1168,19 +1221,28 @@ void Controller::demand_adaptation() {
 
   // Root-level leftovers: wake sleeping capacity, then drop what remains.
   if (!pending.empty() && config_.allow_wake) {
-    std::vector<NodeId> asleep;
-    for (NodeId s : cluster_.server_ids()) {
-      if (cluster_.server(s).asleep()) asleep.push_back(s);
-    }
     // Largest capacity first; explicit id tie-break keeps the order a pure
-    // function of the inputs.
-    std::stable_sort(asleep.begin(), asleep.end(), [&](NodeId a, NodeId b) {
-      if (tree.node(a).hard_limit().value() !=
-          tree.node(b).hard_limit().value()) {
-        return tree.node(a).hard_limit() > tree.node(b).hard_limit();
+    // function of the inputs.  The pool is a heap popped only as far as the
+    // batches reach (most ticks wake a handful out of thousands), over hard
+    // limits snapshotted now: unless a supply pass already ran this tick, the
+    // first batch's pass refreshes the sleepers' limits, and the order must
+    // not see that.
+    auto& sleepers = sleeper_heap_;
+    sleepers.clear();
+    const auto& sids = cluster_.server_ids();
+    for (std::size_t i = 0; i < sids.size(); ++i) {
+      if (cluster_.server_at(i).asleep()) {
+        sleepers.emplace_back(tree.node(sids[i]).hard_limit().value(), sids[i]);
       }
-      return a < b;
-    });
+    }
+    // Heap "less": `a` wakes after `b`.  A strict total order (ids are
+    // unique), so the pop sequence is the fully sorted order.
+    const auto wakes_later = [](const std::pair<double, NodeId>& a,
+                                const std::pair<double, NodeId>& b) {
+      if (a.first != b.first) return a.first < b.first;
+      return a.second > b.second;
+    };
+    std::make_heap(sleepers.begin(), sleepers.end(), wakes_later);
     // Wake in geometric batches (1, 2, 4, ...) with ONE supply re-division
     // per batch.  The per-wake re-division this replaces was O(fleet):
     // waking W servers cost W full budget divisions, and under sustained
@@ -1192,10 +1254,9 @@ void Controller::demand_adaptation() {
     // pathological case to a single wasted wake: capacity that hosts no
     // leftover demand is capacity consolidation just has to re-sleep.
     const auto& root_node = tree.node(tree.root());
-    std::size_t next = 0;
     std::size_t batch = 1;
     std::vector<NodeId> batch_nodes;
-    while (!pending.empty() && next < asleep.size()) {
+    while (!pending.empty() && !sleepers.empty()) {
       // Headroom a wake could tap: budget the children could not absorb plus
       // raw supply beyond the active-capacity cap on the root budget.
       const Watts headroom =
@@ -1203,9 +1264,11 @@ void Controller::demand_adaptation() {
           util::positive_part(last_supply_ - root_node.budget());
       if (headroom.value() <= config_.margin.value()) break;
       batch_nodes.clear();
-      const std::size_t take = std::min(batch, asleep.size() - next);
+      const std::size_t take = std::min(batch, sleepers.size());
       for (std::size_t i = 0; i < take; ++i) {
-        const NodeId s = asleep[next++];
+        std::pop_heap(sleepers.begin(), sleepers.end(), wakes_later);
+        const NodeId s = sleepers.back().second;
+        sleepers.pop_back();
         cluster_.wake_server(s);
         {
           // The wake flips an active flag the aggregation sweeps cannot see.

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "binpack/pack.h"
+#include "core/allocation.h"
 #include "core/balance.h"
 #include "core/cluster.h"
 #include "fault/link_faults.h"
@@ -281,8 +282,10 @@ class Controller {
     return apps_in_flight_.contains(app);
   }
 
-  /// Force a supply adaptation now (tests; scenario warm-up).
+  /// Force a supply adaptation now (tests; scenario warm-up).  Runs outside
+  /// tick(), so the plant may have moved since the last leaf-limit sweep.
   void force_supply_adaptation(Watts available_supply) {
+    leaf_limits_current_ = false;
     supply_adaptation(available_supply);
   }
 
@@ -328,6 +331,8 @@ class Controller {
   };
 
   void supply_adaptation(Watts available_supply);
+  /// Leaf sweep (skipped while leaf_limits_current_), then the internal
+  /// roll-up over dirty nodes.
   void update_hard_limits();
   /// Degrade/drop unplaceable leftovers per SheddingPolicy, lowest priority
   /// first, releasing just enough to cover each source's deficit.
@@ -367,6 +372,10 @@ class Controller {
   std::vector<PlanItem> select_victims(NodeId server, Watts needed,
                                        MigrationCause cause,
                                        obs::Reason reason);
+
+  /// Set `node`'s budget-reduced flag, remembering it for the next supply
+  /// pass's clear.
+  void mark_budget_reduced(NodeId node);
 
   /// Target eligibility under the unidirectional rule within `scope`.
   [[nodiscard]] bool eligible_target(NodeId target_server, NodeId scope) const;
@@ -410,11 +419,14 @@ class Controller {
   /// enforce_thermal_limits so both clamp to identical bits, and valid in
   /// both walk modes (it memoizes a pure function).
   [[nodiscard]] Watts leaf_limit(std::size_t server_index);
+  /// The uncached value leaf_limit() memoizes (shadow_diff re-derives with it).
+  [[nodiscard]] Watts compute_leaf_limit(std::size_t server_index) const;
 
   /// Shadow-diff helpers: re-derive a skipped decision from scratch and throw
   /// std::logic_error on any bitwise mismatch.
   void shadow_check_division(NodeId id);
   void shadow_check_hard_limit(NodeId id);
+  void shadow_check_leaf_limits();
   void count_shadow_check(bool mismatch);
 
   void resolve_instruments();
@@ -433,6 +445,13 @@ class Controller {
   std::vector<double> cached_leaf_limit_;             ///< by NodeId
   std::vector<std::uint64_t> cached_limit_version_;   ///< by NodeId
   std::vector<std::uint64_t> cached_sensor_version_;  ///< by server index
+  /// Every leaf's hard limit equals leaf_limit() as of this tick, so
+  /// update_hard_limits may skip the fleet-wide leaf sweep.  A leaf limit
+  /// moves only with the thermal state version, the sensor version and the
+  /// circuit rating, and none of them changes inside tick(): set by the first
+  /// sweep of a tick, cleared when the next tick (or a forced supply pass)
+  /// begins.
+  bool leaf_limits_current_ = false;
 
   /// Consolidation-candidate index: one entry per server, refreshed only when
   /// the server's subtree epoch moved (or the fleet envelope shifted), plus
@@ -482,9 +501,12 @@ class Controller {
     bool valid = false;
   } pack_memo_;
 
-  /// Division scratch (child demand/capacity vectors, reused per node).
+  /// Division scratch (child demand/capacity vectors, allocator working
+  /// storage and output, reused per node).
   std::vector<Watts> alloc_demands_scratch_;
   std::vector<Watts> alloc_caps_scratch_;
+  AllocationScratch alloc_scratch_;
+  AllocationResult alloc_result_;
 
   /// Instruments resolved once when the bus is attached (name lookups are a
   /// hash probe each; the skip paths fire per node per tick).
@@ -503,6 +525,10 @@ class Controller {
   obs::Counter* c_consol_cache_served_ = nullptr;
   obs::Counter* c_consol_batched_ = nullptr;
   obs::Counter* c_index_point_updates_ = nullptr;
+  /// Packing instruments, registered on the first pack_and_apply call so a
+  /// run that never packs carries neither name.
+  obs::Counter* c_pack_calls_ = nullptr;
+  obs::Histogram* h_pack_items_ = nullptr;
 
   /// Fault instruments, resolved only when a link-fault model or the stale
   /// machinery is active so fault-free runs register no extra counters.
@@ -530,6 +556,8 @@ class Controller {
   long tick_ = 0;
   Watts last_supply_{0.0};
   std::vector<bool> budget_reduced_;
+  /// Nodes whose budget_reduced_ flag is set, in the order they were set.
+  std::vector<NodeId> budget_reduced_ids_;
   /// Servers whose budget this tick's thermal/circuit clamp reduced; drives
   /// the kThermal reason code on the migrations the clamp forces.
   std::vector<char> thermally_clamped_;
@@ -566,8 +594,11 @@ class Controller {
 
   /// Cached topology (see ensure_topology_cache).
   std::size_t cache_tree_size_ = 0;
-  std::vector<NodeId> bottom_up_;
-  std::vector<NodeId> top_down_;
+  /// Internal (non-leaf) nodes only, in bottom-up (children first) and
+  /// top-down (parents first) order: the walks that roll up, divide and
+  /// escalate never act on a leaf, so they skip the fleet.
+  std::vector<NodeId> internal_bottom_up_;
+  std::vector<NodeId> internal_top_down_;
   /// Internal nodes with >= 1 server child, in bottom-up order (the "level-1
   /// groups" demand adaptation plans over).
   std::vector<NodeId> group_parents_;
@@ -586,6 +617,8 @@ class Controller {
   std::vector<NodeId> target_scratch_;
   std::vector<const workload::Application*> victim_scratch_;
   std::vector<workload::Application*> shed_scratch_;
+  /// Wake-loop sleep pool as a max-heap of (hard limit, NodeId) snapshots.
+  std::vector<std::pair<double, NodeId>> sleeper_heap_;
 
   /// Consolidation fleet-scope fast path (valid only within one
   /// consolidate() call; see consolidate()).  The capacity index holds every

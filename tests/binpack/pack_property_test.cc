@@ -3,6 +3,11 @@
 // bound survives Willow's constraints) and the (3/2) OPT + 1 guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <numeric>
+
 #include "binpack/exact.h"
 #include "binpack/pack.h"
 #include "util/rng.h"
@@ -27,6 +32,211 @@ Instance random_instance(util::Rng& rng, std::size_t max_items,
   }
   for (std::size_t b = 0; b < n_bins; ++b) {
     inst.bins.push_back({100 + b, rng.uniform(1.0, 12.0), 0});
+  }
+  return inst;
+}
+
+// ---- reference packer --------------------------------------------------------
+// pack() as it stood before its sorts became unstable: stable_sort everywhere
+// and a linear smallest-bin scan in FFDLR step 4.  pack() must reproduce it
+// bit for bit, because every comparator breaks ties by a unique index and
+// fits() is monotone in capacity.
+namespace reference {
+
+std::vector<std::size_t> by_decreasing_size(const std::vector<Item>& items) {
+  std::vector<std::size_t> order(items.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     if (items[a].size != items[b].size) {
+                       return items[a].size > items[b].size;
+                     }
+                     return a < b;
+                   });
+  return order;
+}
+
+struct State {
+  std::vector<double> residual;
+  std::vector<bool> touched;
+
+  explicit State(const std::vector<Bin>& bins)
+      : residual(bins.size()), touched(bins.size(), false) {
+    for (std::size_t i = 0; i < bins.size(); ++i) residual[i] = bins[i].capacity;
+  }
+
+  void place(PackResult& r, const std::vector<Item>& items, std::size_t item,
+             std::size_t bin) {
+    residual[bin] -= items[item].size;
+    r.assignments.push_back({item, bin});
+    r.placed_size += items[item].size;
+    if (!touched[bin]) {
+      touched[bin] = true;
+      ++r.bins_touched;
+    }
+  }
+};
+
+std::size_t best_fit(const State& state, double size) {
+  std::size_t chosen = state.residual.size();
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t b = 0; b < state.residual.size(); ++b) {
+    const double slack = state.residual[b] - size;
+    if (slack >= -kCapacityEps && slack < best) {
+      best = slack;
+      chosen = b;
+    }
+  }
+  return chosen;
+}
+
+PackResult greedy(const std::vector<Item>& items, const std::vector<Bin>& bins,
+                  const std::vector<std::size_t>& order, Algorithm algo) {
+  PackResult result;
+  State state(bins);
+  for (std::size_t item : order) {
+    const double size = items[item].size;
+    std::size_t chosen = bins.size();
+    if (algo == Algorithm::kBestFitDecreasing) {
+      chosen = best_fit(state, size);
+    } else if (algo == Algorithm::kWorstFitDecreasing) {
+      double best = -std::numeric_limits<double>::infinity();
+      for (std::size_t b = 0; b < bins.size(); ++b) {
+        const double slack = state.residual[b] - size;
+        if (slack >= -kCapacityEps && slack > best) {
+          best = slack;
+          chosen = b;
+        }
+      }
+    } else {
+      for (std::size_t b = 0; b < bins.size(); ++b) {
+        if (fits(state.residual[b], size)) {
+          chosen = b;
+          break;
+        }
+      }
+    }
+    if (chosen < bins.size()) {
+      state.place(result, items, item, chosen);
+    } else {
+      result.unplaced.push_back(item);
+    }
+  }
+  return result;
+}
+
+PackResult ffdlr(const std::vector<Item>& items, const std::vector<Bin>& bins) {
+  PackResult result;
+  double cmax = 0.0;
+  for (const auto& b : bins) cmax = std::max(cmax, b.capacity);
+  if (bins.empty() || cmax <= 0.0) {
+    result.unplaced.resize(items.size());
+    std::iota(result.unplaced.begin(), result.unplaced.end(), std::size_t{0});
+    return result;
+  }
+  std::vector<VirtualGroup> groups;
+  for (std::size_t item : by_decreasing_size(items)) {
+    const double size = items[item].size;
+    if (!fits(cmax, size)) {
+      result.unplaced.push_back(item);
+      continue;
+    }
+    bool placed = false;
+    for (auto& vb : groups) {
+      if (fits(cmax, vb.content + size)) {
+        vb.content += size;
+        vb.items.push_back(item);
+        placed = true;
+        break;
+      }
+    }
+    if (!placed) groups.push_back({size, {item}});
+  }
+  std::stable_sort(groups.begin(), groups.end(),
+                   [](const VirtualGroup& a, const VirtualGroup& b) {
+                     if (a.content != b.content) return a.content > b.content;
+                     return a.items.front() < b.items.front();
+                   });
+  std::vector<std::size_t> real_by_cap(bins.size());
+  std::iota(real_by_cap.begin(), real_by_cap.end(), std::size_t{0});
+  std::stable_sort(real_by_cap.begin(), real_by_cap.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     if (bins[a].capacity != bins[b].capacity) {
+                       return bins[a].capacity < bins[b].capacity;
+                     }
+                     return a < b;
+                   });
+  State state(bins);
+  std::vector<bool> bin_used(bins.size(), false);
+  std::vector<std::size_t> leftovers;
+  for (const auto& vb : groups) {
+    std::size_t chosen = bins.size();
+    for (std::size_t b : real_by_cap) {
+      if (!bin_used[b] && fits(bins[b].capacity, vb.content)) {
+        chosen = b;
+        break;
+      }
+    }
+    if (chosen < bins.size()) {
+      bin_used[chosen] = true;
+      for (std::size_t item : vb.items) state.place(result, items, item, chosen);
+    } else {
+      leftovers.insert(leftovers.end(), vb.items.begin(), vb.items.end());
+    }
+  }
+  std::stable_sort(leftovers.begin(), leftovers.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     if (items[a].size != items[b].size) {
+                       return items[a].size > items[b].size;
+                     }
+                     return a < b;
+                   });
+  for (std::size_t item : leftovers) {
+    const std::size_t chosen = best_fit(state, items[item].size);
+    if (chosen < bins.size()) {
+      state.place(result, items, item, chosen);
+    } else {
+      result.unplaced.push_back(item);
+    }
+  }
+  return result;
+}
+
+PackResult pack(const std::vector<Item>& items, const std::vector<Bin>& bins,
+                Algorithm algorithm) {
+  if (algorithm == Algorithm::kFfdlr) return ffdlr(items, bins);
+  if (algorithm == Algorithm::kFirstFit) {
+    std::vector<std::size_t> order(items.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    return greedy(items, bins, order, algorithm);
+  }
+  return greedy(items, bins, by_decreasing_size(items), algorithm);
+}
+
+}  // namespace reference
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+/// Sizes and capacities on a coarse grid, so exact ties (between items,
+/// between bins, and between a group's content and a bin's capacity) are the
+/// common case rather than a measure-zero event.  Zero sizes and empty bins
+/// are included.
+Instance quantized_instance(util::Rng& rng, std::size_t max_items,
+                            std::size_t max_bins) {
+  Instance inst;
+  const auto n_items = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<int>(max_items)));
+  const auto n_bins = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<int>(max_bins)));
+  for (std::size_t i = 0; i < n_items; ++i) {
+    inst.items.push_back({i + 1, 0.5 * rng.uniform_int(0, 12), 0});
+  }
+  for (std::size_t b = 0; b < n_bins; ++b) {
+    inst.bins.push_back({100 + b, 1.0 * rng.uniform_int(0, 12), 0});
   }
   return inst;
 }
@@ -105,6 +315,31 @@ TEST_P(PackRandom, DeterministicAcrossRepeatedCalls) {
     for (std::size_t i = 0; i < a.assignments.size(); ++i) {
       EXPECT_EQ(a.assignments[i].item, b.assignments[i].item);
       EXPECT_EQ(a.assignments[i].bin, b.assignments[i].bin);
+    }
+  }
+}
+
+TEST_P(PackRandom, MatchesStableSortLinearScanReferenceBitwise) {
+  util::Rng rng(GetParam() + 5000);
+  for (int round = 0; round < 300; ++round) {
+    // Mostly small instances (dense in ties), some wide ones (step 4's
+    // binary search over many equal capacities, many used bins to skip).
+    const bool wide = round % 10 == 0;
+    const Instance inst =
+        wide ? quantized_instance(rng, 40, 200) : quantized_instance(rng, 16, 10);
+    for (auto algo : kAll) {
+      const auto got = pack(inst.items, inst.bins, algo);
+      const auto want = reference::pack(inst.items, inst.bins, algo);
+      const std::string where = "algo " + std::to_string(static_cast<int>(algo)) +
+                                " round " + std::to_string(round);
+      ASSERT_EQ(got.assignments.size(), want.assignments.size()) << where;
+      for (std::size_t i = 0; i < got.assignments.size(); ++i) {
+        ASSERT_EQ(got.assignments[i].item, want.assignments[i].item) << where;
+        ASSERT_EQ(got.assignments[i].bin, want.assignments[i].bin) << where;
+      }
+      ASSERT_EQ(got.unplaced, want.unplaced) << where;
+      ASSERT_EQ(bits_of(got.placed_size), bits_of(want.placed_size)) << where;
+      ASSERT_EQ(got.bins_touched, want.bins_touched) << where;
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "util/rng.h"
@@ -24,6 +25,12 @@ double sum(const std::vector<Watts>& v) {
 }
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
 
 TEST(Allocation, ValidatesInputs) {
   EXPECT_THROW(
@@ -144,6 +151,63 @@ TEST(Allocation, TinyTotalSplitsProportionally) {
                                        watts_of({kInf, kInf}));
   EXPECT_NEAR(r.budgets[0].value(), 0.25e-6, 1e-12);
   EXPECT_NEAR(r.budgets[1].value(), 0.75e-6, 1e-12);
+}
+
+TEST(Allocation, ScratchReuseMatchesFreshCallsBitwise) {
+  // One scratch and one output carried through calls of varying width and
+  // regime, as the controller's top-down division does: leftovers from a
+  // wider or differently-shaped previous call must never leak into a result.
+  util::Rng rng(17);
+  struct Case {
+    Watts total;
+    std::vector<Watts> demands, caps;
+  };
+  auto random_case = [&](std::size_t n, double total) {
+    Case c{Watts{total}, {}, {}};
+    for (std::size_t i = 0; i < n; ++i) {
+      c.demands.emplace_back(rng.uniform(0.0, 100.0));
+      c.caps.emplace_back(rng.uniform(20.0, 150.0));
+    }
+    return c;
+  };
+  std::vector<Case> cases;
+  cases.push_back(random_case(1, 40.0));
+  cases.push_back(random_case(40, 1500.0));
+  cases.push_back(random_case(3, 90.0));
+  cases.push_back(random_case(250, 9000.0));
+  Case inf_caps = random_case(7, 5000.0);
+  for (auto& cap : inf_caps.caps) cap = Watts{kInf};
+  cases.push_back(inf_caps);
+  Case zero_demand = random_case(5, 200.0);
+  for (auto& d : zero_demand.demands) d = Watts{0.0};
+  cases.push_back(zero_demand);
+  Case over_caps = random_case(12, 0.0);
+  over_caps.total = Watts{sum(over_caps.caps) + 500.0};
+  cases.push_back(over_caps);
+  cases.push_back(random_case(2, 60.0));
+
+  AllocationScratch scratch;
+  AllocationResult out;
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const Case& c = cases[k];
+    allocate_proportional(c.total, c.demands, c.caps, scratch, out);
+    const AllocationResult fresh =
+        allocate_proportional(c.total, c.demands, c.caps);
+    ASSERT_EQ(out.budgets.size(), fresh.budgets.size()) << "case " << k;
+    for (std::size_t i = 0; i < fresh.budgets.size(); ++i) {
+      EXPECT_EQ(bits_of(out.budgets[i].value()),
+                bits_of(fresh.budgets[i].value()))
+          << "case " << k << " child " << i;
+    }
+    EXPECT_EQ(bits_of(out.unallocated.value()),
+              bits_of(fresh.unallocated.value()))
+        << "case " << k;
+  }
+  // The over-caps case really leaves budget unplaced.
+  EXPECT_GT(allocate_proportional(over_caps.total, over_caps.demands,
+                                  over_caps.caps)
+                .unallocated.value(),
+            0.0);
 }
 
 class AllocationRandom : public ::testing::TestWithParam<unsigned long long> {};

@@ -3,7 +3,9 @@
 // ancestors, and capacity-policy interplay with circuit limits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 
 #include "core/controller.h"
 
@@ -177,6 +179,106 @@ TEST(Wake, SkippedWhenNoHeadroom) {
     ctl.tick(Watts{120.0});
   }
   EXPECT_EQ(ctl.stats().wakes, wakes_before);
+}
+
+TEST(Wake, OrderIsDescendingHardLimitThenIdAcrossBatches) {
+  // One overloaded awake server and a sleep pool whose circuit ratings (the
+  // binding hard limit on these thermally lax servers) tie in groups, with
+  // ids interleaved so that neither creation order nor rating alone gives
+  // the wake order.  The leftover demand needs three geometric batches
+  // (1, 2, then 4 servers); every wake must come off the pool in
+  // (hard limit descending, NodeId ascending) order.
+  Cluster cluster{1.0};
+  workload::AppIdAllocator ids;
+  const NodeId root = cluster.add_root("dc");
+  const NodeId hot_rack = cluster.add_group(root, "hot");
+  const NodeId pool_rack = cluster.add_group(root, "pool");
+  const NodeId busy = cluster.add_server(hot_rack, "busy", lax_server());
+  const double ratings[] = {250, 300, 400, 300, 250, 300, 200, 250, 300};
+  std::vector<std::pair<double, NodeId>> pool;
+  for (double rating : ratings) {
+    ServerConfig cfg = lax_server();
+    cfg.circuit_limit = Watts{rating};
+    const NodeId s =
+        cluster.add_server(pool_rack, std::to_string(pool.size()), cfg);
+    cluster.sleep_server(s);
+    pool.emplace_back(rating, s);
+  }
+  for (int i = 0; i < 12; ++i) {
+    cluster.place(Application(ids.next(), 0, 100_W, 512_MB), busy);
+  }
+  Controller ctl(cluster, ControllerConfig{});
+  ctl.tick(Watts{10000.0});
+
+  std::vector<NodeId> woken;
+  for (const auto& e : ctl.events_this_tick()) {
+    if (e.kind == EventKind::kWake) woken.push_back(e.node);
+  }
+  ASSERT_EQ(woken.size(), 7u) << "expected batches of 1, 2 and 4 servers";
+  std::sort(pool.begin(), pool.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  });
+  for (std::size_t i = 0; i < woken.size(); ++i) {
+    EXPECT_EQ(woken[i], pool[i].second) << "wake #" << i;
+    EXPECT_EQ(cluster.tree().node(woken[i]).hard_limit().value(),
+              pool[i].first)
+        << "wake #" << i;
+  }
+}
+
+const obs::MetricsSnapshot::HistogramValue* find_histogram(
+    const obs::MetricsSnapshot& m, const std::string& name) {
+  for (const auto& h : m.histograms) {
+    if (h.name == name) return &h;
+  }
+  return nullptr;
+}
+
+bool has_counter(const obs::MetricsSnapshot& m, const std::string& name) {
+  for (const auto& c : m.counters) {
+    if (c.name == name) return true;
+  }
+  return false;
+}
+
+TEST(PackInstruments, RegisteredOnFirstPackOfEachAttachedBus) {
+  Fixture f;
+  f.host(f.s00, 170.0);
+  f.host(f.s01, 20.0);
+  f.host(f.s10, 100.0);
+  ControllerConfig cfg;
+  cfg.allow_drop = false;  // keep the deficits standing from tick to tick
+  Controller ctl(f.cluster, cfg);
+  obs::EventBus first;
+  ctl.set_event_bus(&first);
+  ctl.tick(Watts{1760.0});  // plenty: nobody is short, nothing is packed
+  EXPECT_FALSE(has_counter(first.metrics().snapshot(), "controller.pack_calls"));
+  EXPECT_EQ(find_histogram(first.metrics().snapshot(), "controller.pack_items"),
+            nullptr);
+
+  // Starved from the next supply pass (tick 4) on: deficits are planned
+  // through packing.
+  for (int t = 2; t <= 4; ++t) {
+    f.cluster.refresh_demands_constant();
+    ctl.tick(Watts{120.0});
+  }
+  const auto m1 = first.metrics().snapshot();
+  const std::uint64_t calls = m1.counter_or_zero("controller.pack_calls");
+  ASSERT_GT(calls, 0u);
+  const auto* items = find_histogram(m1, "controller.pack_items");
+  ASSERT_NE(items, nullptr);
+  EXPECT_EQ(items->count, calls);
+
+  // A newly attached bus gets its own instruments; the old one stops moving.
+  obs::EventBus second;
+  ctl.set_event_bus(&second);
+  f.cluster.refresh_demands_constant();
+  ctl.tick(Watts{120.0});
+  EXPECT_GT(second.metrics().snapshot().counter_or_zero("controller.pack_calls"),
+            0u);
+  EXPECT_EQ(first.metrics().snapshot().counter_or_zero("controller.pack_calls"),
+            calls);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -141,6 +142,39 @@ TEST(ShadowDiff, MigrationsPermanentlyInFlightScenario) {
   const auto& m = inc.result.metrics;
   EXPECT_GT(m.counter_or_zero("control.consol_candidates"), 0u);
   EXPECT_GT(m.counter_or_zero("control.index_point_updates"), 0u);
+}
+
+/// Largest number of wake events the trace carries for a single tick.
+std::size_t max_wakes_in_one_tick(const std::string& trace) {
+  std::map<long long, std::size_t> per_tick;
+  std::istringstream is(trace);
+  for (std::string line; std::getline(is, line);) {
+    if (line.find("\"type\":\"wake\"") == std::string::npos) continue;
+    const auto t = line.find("\"t\":");
+    if (t == std::string::npos) continue;
+    ++per_tick[std::stoll(line.substr(t + 4))];
+  }
+  std::size_t most = 0;
+  for (const auto& [tick, n] : per_tick) most = std::max(most, n);
+  return most;
+}
+
+TEST(ShadowDiff, MultiBatchWakeScenario) {
+  // Wake batches double (1, 2, 4, ...), each followed by a supply pass, so a
+  // tick with two or more wakes ran at least two passes: the later ones skip
+  // the leaf-limit sweep, and shadow mode re-derives every leaf limit there.
+  // Light load lets consolidation fill the sleep pool; then demand steps up
+  // and churn keeps landing work the awake servers cannot hold.
+  auto cfg = base_config(0.3, 11);
+  cfg.churn_probability = 0.1;
+  cfg.measure_ticks = 60;
+  std::vector<double> steps(35, 1.0);
+  steps.push_back(2.5);
+  cfg.intensity = std::make_shared<workload::TraceIntensity>(steps, 1_s);
+  expect_modes_equivalent(cfg);
+  const TracedRun inc = traced_run(cfg, /*incremental=*/true, 1);
+  EXPECT_GE(max_wakes_in_one_tick(inc.trace), 2u)
+      << "no tick ran a second wake batch";
 }
 
 TEST(ShadowDiff, SkipCountersReconcileWithTrace) {
