@@ -114,25 +114,19 @@ class ManagedServer {
 
   /// Sensor overrides (fault injection; see docs/fault_model.md).  The
   /// controller consumes *sensed* values; the plant itself keeps evolving on
-  /// the true ones.  Setting an override bumps sensor_version() so cached
-  /// derived limits refresh.
+  /// the true ones.
   [[nodiscard]] const fault::SensorOverride& power_sensor() const {
     return power_sensor_;
   }
   void set_power_sensor(const fault::SensorOverride& o) {
     power_sensor_ = o;
-    ++sensor_version_;
   }
   [[nodiscard]] const fault::SensorOverride& temp_sensor() const {
     return temp_sensor_;
   }
   void set_temp_sensor(const fault::SensorOverride& o) {
     temp_sensor_ = o;
-    ++sensor_version_;
   }
-  /// Bumped whenever a sensor override changes (0 on a healthy server that
-  /// never faulted — cache keys stay stable for fault-free runs).
-  [[nodiscard]] std::uint64_t sensor_version() const { return sensor_version_; }
 
   /// The power demand the PMU *sees*: power_demand() filtered through the
   /// power-sensor override.  Bitwise equal to power_demand() while healthy.
@@ -187,7 +181,6 @@ class ManagedServer {
   bool crashed_ = false;
   fault::SensorOverride power_sensor_{};
   fault::SensorOverride temp_sensor_{};
-  std::uint64_t sensor_version_ = 0;
   long stale_ticks_ = 0;
   Watts last_good_demand_{0.0};
   bool have_last_good_ = false;

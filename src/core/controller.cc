@@ -30,10 +30,11 @@ obs::Event make_event(obs::EventType type, NodeId node,
   return e;
 }
 
-// FNV-1a over 64-bit words; used to fingerprint packing problems.  Collisions
-// would silently reuse a stale verdict, but at 64 bits the collision rate is
-// negligible against the ~1e7 fingerprints of even a long 100k-server run,
-// and the shadow-diff mode exists to catch exactly this class of error.
+// FNV-1a over 64-bit words; used to fingerprint a consolidation candidate's
+// hosted apps.  Collisions would silently reuse a stale verdict, but at 64
+// bits the collision rate is negligible against the ~1e7 fingerprints of even
+// a long 100k-server run, and the shadow-diff mode exists to catch exactly
+// this class of error.
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
@@ -97,12 +98,21 @@ void ControllerConfig::validate() const {
   if (eta1 < 1 || eta2 <= eta1) {
     throw std::invalid_argument("ControllerConfig: need 1 <= eta1 < eta2");
   }
-  if (margin.value() < 0.0 || migration_cost.value() < 0.0) {
-    throw std::invalid_argument("ControllerConfig: negative margin/cost");
+  // Checks are written negated (!(x >= 0)) so that NaN fails them too.
+  if (!(margin.value() >= 0.0)) {
+    throw std::invalid_argument("ControllerConfig: margin must be >= 0");
   }
-  if (consolidation_threshold < 0.0 || consolidation_threshold > 1.0) {
+  if (!(migration_cost.value() >= 0.0)) {
+    throw std::invalid_argument(
+        "ControllerConfig: migration_cost must be >= 0");
+  }
+  if (!(consolidation_threshold >= 0.0 && consolidation_threshold <= 1.0)) {
     throw std::invalid_argument(
         "ControllerConfig: consolidation_threshold must be in [0,1]");
+  }
+  if (!(migration_periods_per_gib >= 0.0)) {
+    throw std::invalid_argument(
+        "ControllerConfig: migration_periods_per_gib must be >= 0");
   }
   if (migration_cost_periods < 1) {
     throw std::invalid_argument(
@@ -116,7 +126,7 @@ void ControllerConfig::validate() const {
     throw std::invalid_argument(
         "ControllerConfig: target_fill_fraction must be in (0,1]");
   }
-  if (report_deadband.value() < 0.0) {
+  if (!(report_deadband.value() >= 0.0)) {
     throw std::invalid_argument(
         "ControllerConfig: report_deadband must be >= 0");
   }
@@ -175,9 +185,7 @@ void Controller::ensure_topology_cache() {
   server_children_.assign(tree.size(), {});
   is_group_parent_.assign(tree.size(), 0);
   group_parents_.clear();
-  // Per-subtree server enumeration lives in the arena now: contiguous slot
-  // spans in creation order replace the old per-node `subtree_servers_`
-  // vectors (same membership, same iteration order, O(1) per node).
+  // Per-subtree server enumeration: contiguous arena slot spans.
   cluster_.arena().build_subtree_index(tree);
   for (NodeId s : cluster_.server_ids()) {
     const NodeId parent = tree.node(s).parent();
@@ -192,27 +200,13 @@ void Controller::ensure_topology_cache() {
 
   // Incremental-state reset: a new (or re-shaped) tree starts all-dirty so
   // the first pass of every phase is a full recompute that seeds the caches.
-  constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
   change_epoch_ = 0;
   subtree_epoch_.assign(tree.size(), 0);
   division_dirty_.assign(tree.size(), 1);
   limit_dirty_.assign(tree.size(), 1);
-  const std::size_t ns = cluster_.server_count();
-  cached_leaf_limit_.assign(ns, 0.0);
-  cached_limit_version_.assign(ns, kNever);
-  cached_sensor_version_.assign(ns, kNever);
   leaf_limits_current_ = false;
   pending_directives_.clear();
-  consol_entry_.assign(ns, {});
-  consol_entry_epoch_.assign(ns, kNever);
-  server_envelope_.assign(ns, 0.0);
-  server_envelope_version_.assign(ns, kNever);
-  cached_fleet_envelope_ = -1.0;
-  consol_order_.clear();
-  consol_order_valid_ = false;
-  consol_fail_local_.assign(ns, {});
-  consol_fail_root_.assign(ns, {});
-  pack_memo_ = {};
+  consol_fail_root_.assign(cluster_.server_count(), {});
 }
 
 void Controller::touch(NodeId node) {
@@ -231,11 +225,15 @@ void Controller::note_external_change(NodeId node) {
 }
 
 void Controller::note_availability_change(NodeId node) {
-  // Same dirtying as the sleep/wake paths: the active flip changes the
-  // parent's roll-up and division, and the node must re-report on recovery.
-  // Unconditional (not gated on config_.incremental): the dirty flags are
-  // only consulted by the incremental walk, and the full walk ignores them.
   ensure_topology_cache();
+  note_active_flip(node);
+}
+
+void Controller::note_active_flip(NodeId node) {
+  // The flip changes the parent's roll-up and division, and the node must
+  // re-report.  Unconditional (not gated on config_.incremental): the dirty
+  // flags are only consulted by the incremental walk, and the full walk
+  // ignores them.
   auto& tree = cluster_.tree();
   const NodeId p = tree.node(node).parent();
   if (p != hier::kNoNode) {
@@ -252,20 +250,7 @@ void Controller::set_link_faults(const fault::LinkFaultModel* faults) {
   resolve_fault_instruments();
 }
 
-Watts Controller::leaf_limit(std::size_t server_index) {
-  const auto& srv = cluster_.server_at(server_index);
-  const std::uint64_t v = srv.thermal().state_version();
-  const std::uint64_t sv = srv.sensor_version();
-  if (cached_limit_version_[server_index] != v ||
-      cached_sensor_version_[server_index] != sv) {
-    cached_limit_version_[server_index] = v;
-    cached_sensor_version_[server_index] = sv;
-    cached_leaf_limit_[server_index] = compute_leaf_limit(server_index).value();
-  }
-  return Watts{cached_leaf_limit_[server_index]};
-}
-
-Watts Controller::compute_leaf_limit(std::size_t server_index) const {
+Watts Controller::leaf_limit(std::size_t server_index) const {
   const auto& srv = cluster_.server_at(server_index);
   const auto& th = srv.thermal();
   Watts thermal_limit{0.0};
@@ -300,31 +285,19 @@ void Controller::resolve_instruments() {
   // Registered lazily by pack_and_apply against whichever bus is attached.
   c_pack_calls_ = nullptr;
   h_pack_items_ = nullptr;
-  if (bus_ == nullptr) {
-    c_budget_directives_ = nullptr;
-    c_divisions_memoized_ = nullptr;
-    c_packings_reused_ = nullptr;
-    c_shadow_checks_ = nullptr;
-    c_shadow_mismatches_ = nullptr;
-    c_consol_candidates_ = nullptr;
-    c_consol_drained_ = nullptr;
-    c_consol_cache_served_ = nullptr;
-    c_consol_batched_ = nullptr;
-    c_index_point_updates_ = nullptr;
-    resolve_fault_instruments();
-    return;
-  }
-  auto& m = bus_->metrics();
-  c_budget_directives_ = &m.counter("control.budget_directives");
-  c_divisions_memoized_ = &m.counter("control.supply_subtrees_memoized");
-  c_packings_reused_ = &m.counter("control.packings_reused");
-  c_shadow_checks_ = &m.counter("control.shadow_checks");
-  c_shadow_mismatches_ = &m.counter("control.shadow_mismatches");
-  c_consol_candidates_ = &m.counter("control.consol_candidates");
-  c_consol_drained_ = &m.counter("control.consol_drained");
-  c_consol_cache_served_ = &m.counter("control.consol_cache_served");
-  c_consol_batched_ = &m.counter("control.consol_batched");
-  c_index_point_updates_ = &m.counter("control.index_point_updates");
+  auto counter = [this](const char* name) {
+    return bus_ != nullptr ? &bus_->metrics().counter(name) : nullptr;
+  };
+  c_budget_directives_ = counter("control.budget_directives");
+  c_divisions_memoized_ = counter("control.supply_subtrees_memoized");
+  c_packings_reused_ = counter("control.packings_reused");
+  c_shadow_checks_ = counter("control.shadow_checks");
+  c_shadow_mismatches_ = counter("control.shadow_mismatches");
+  c_consol_candidates_ = counter("control.consol_candidates");
+  c_consol_drained_ = counter("control.consol_drained");
+  c_consol_cache_served_ = counter("control.consol_cache_served");
+  c_consol_batched_ = counter("control.consol_batched");
+  c_index_point_updates_ = counter("control.index_point_updates");
   resolve_fault_instruments();
 }
 
@@ -395,16 +368,14 @@ void Controller::apply_stale_observations() {
 
 void Controller::apply_fallback_budgets() {
   if (config_.stale_timeout_ticks <= 0) return;
-  auto& tree = cluster_.tree();
-  const bool observe = bus_ != nullptr && bus_->enabled();
+  const auto& tree = cluster_.tree();
   const auto& sids = cluster_.server_ids();
   for (std::size_t i = 0; i < sids.size(); ++i) {
     const auto& srv = cluster_.server_at(i);
     if (srv.asleep() || srv.crashed()) continue;
     if (srv.stale_ticks() < config_.stale_timeout_ticks) continue;
     const NodeId s = sids[i];
-    auto& leaf = tree.node(s);
-    if (!leaf.active()) continue;
+    if (!tree.node(s).active()) continue;
     // Safe envelope for a dark server: holdable at steady state from any
     // starting temperature, and never above the regular per-window limit —
     // the clamp only ever tightens (fail-safe toward the thermal limit).
@@ -413,35 +384,48 @@ void Controller::apply_fallback_budgets() {
         util::positive_part(th.steady_state_power_limit()),
         th.params().nameplate);
     const Watts safe = util::min(leaf_limit(i), steady);
-    if (leaf.budget() > safe + Watts{kEps}) {
-      if (observe) {
-        bus_->emit(make_event(obs::EventType::kFallbackBudget, s,
-                              hier::kNoNode, 0, obs::Reason::kNone,
-                              safe.value(), leaf.budget().value()));
-      }
-      leaf.set_budget(safe);
-      mark_budget_reduced(s);
-      const NodeId p = leaf.parent();
-      if (p != hier::kNoNode) division_dirty_[p] = 1;
-      touch(s);
-      if (c_fallback_budgets_ != nullptr) c_fallback_budgets_->increment();
+    if (clamp_budget(s, safe, obs::EventType::kFallbackBudget,
+                     obs::Reason::kNone) &&
+        c_fallback_budgets_ != nullptr) {
+      c_fallback_budgets_->increment();
     }
   }
 }
 
-void Controller::deliver_directive(NodeId id, Watts budget) {
+void Controller::deliver_directive(NodeId id, Watts budget, bool duplicate) {
   auto& tree = cluster_.tree();
   auto& n = tree.node(id);
   if (budget < n.budget() - Watts{kEps}) mark_budget_reduced(id);
-  if (bus_ != nullptr && bus_->enabled()) {
-    bus_->emit(make_event(obs::EventType::kBudgetDirective, id, hier::kNoNode,
-                          0, obs::Reason::kNone, budget.value(),
-                          n.budget().value()));
-  }
+  const double previous = n.budget().value();
+  auto announce = [&] {
+    if (bus_ != nullptr && bus_->enabled()) {
+      bus_->emit(make_event(obs::EventType::kBudgetDirective, id,
+                            hier::kNoNode, 0, obs::Reason::kNone,
+                            budget.value(), previous));
+    }
+  };
+  announce();
   n.set_budget(budget);
   tree.record_budget_directive(id);
   division_dirty_[id] = 1;  // its own children now share a different pie
   touch(id);
+  if (duplicate) {
+    // Same message applied twice: state is unchanged, but the message
+    // counters and the trace must carry both copies.
+    tree.record_budget_directive(id);
+    announce();
+  }
+}
+
+void Controller::record_directive_loss(NodeId id, Watts budget) {
+  if (c_directive_losses_ != nullptr) c_directive_losses_->increment();
+  if (bus_ != nullptr && bus_->enabled()) {
+    obs::Event e = make_event(obs::EventType::kLinkDrop, id, hier::kNoNode, 0,
+                              obs::Reason::kNone, budget.value(),
+                              cluster_.tree().node(id).budget().value());
+    e.direction = obs::LinkDirection::kDown;
+    bus_->emit(std::move(e));
+  }
 }
 
 void Controller::queue_directive_retry(NodeId id, Watts budget) {
@@ -464,7 +448,6 @@ void Controller::queue_directive_retry(NodeId id, Watts budget) {
 void Controller::retry_pending_directives() {
   if (pending_directives_.empty()) return;
   auto& tree = cluster_.tree();
-  const bool observe = bus_ != nullptr && bus_->enabled();
   std::uint64_t directives = 0;
   auto keep = pending_directives_.begin();
   for (auto& p : pending_directives_) {
@@ -482,14 +465,7 @@ void Controller::retry_pending_directives() {
     if (link_faults_ != nullptr) fate = link_faults_->down(p.node);
     if (fate.lose) {
       ++p.attempts;
-      if (c_directive_losses_ != nullptr) c_directive_losses_->increment();
-      if (observe) {
-        obs::Event e = make_event(obs::EventType::kLinkDrop, p.node,
-                                  hier::kNoNode, 0, obs::Reason::kNone,
-                                  p.budget.value(), n.budget().value());
-        e.direction = obs::LinkDirection::kDown;
-        bus_->emit(std::move(e));
-      }
+      record_directive_loss(p.node, p.budget);
       if (p.attempts > config_.directive_retry_limit) {
         // Abandoned: the parent stayed division-dirty the whole time, so the
         // next supply pass re-derives a fresh directive from live state.
@@ -502,21 +478,9 @@ void Controller::retry_pending_directives() {
       *keep++ = p;
       continue;
     }
-    const double previous = n.budget().value();
-    deliver_directive(p.node, p.budget);
-    ++directives;
+    deliver_directive(p.node, p.budget, fate.duplicate);
+    directives += fate.duplicate ? 2 : 1;
     if (c_directive_retries_ != nullptr) c_directive_retries_->increment();
-    if (fate.duplicate) {
-      // Same message applied twice: state is unchanged, but the message
-      // counters and the trace must carry both copies.
-      tree.record_budget_directive(p.node);
-      ++directives;
-      if (observe) {
-        bus_->emit(make_event(obs::EventType::kBudgetDirective, p.node,
-                              hier::kNoNode, 0, obs::Reason::kNone,
-                              p.budget.value(), previous));
-      }
-    }
   }
   pending_directives_.erase(keep, pending_directives_.end());
   if (c_budget_directives_ != nullptr && directives > 0) {
@@ -532,10 +496,10 @@ void Controller::tick(Watts available_supply) {
   leaf_limits_current_ = false;
   // The previous tick's transient booking (absorbed_w_/migrated_from_w_) is
   // about to reset below, which moves target_capacity() for every endpoint of
-  // last tick's migrations.  Stamp those endpoints so the epoch-keyed
-  // consolidation verdict caches see the reset as a change — this is what
-  // lets the caches and the fleet fast path stay valid while migrations are
-  // in flight instead of being quiescence-gated.
+  // last tick's migrations.  Stamp those endpoints so the epoch-keyed root
+  // failure cache sees the reset as a change — this is what lets the cache
+  // and the fleet fast path stay valid while migrations are in flight
+  // instead of being quiescence-gated.
   for (const auto& rec : migrations_this_tick_) {
     touch(rec.from);
     touch(rec.to);
@@ -604,7 +568,7 @@ void Controller::shadow_check_leaf_limits() {
   bool mismatch = false;
   NodeId first = hier::kNoNode;
   for (std::size_t i = 0; i < sids.size() && !mismatch; ++i) {
-    if (compute_leaf_limit(i).value() !=
+    if (leaf_limit(i).value() !=
         tree.node(sids[i]).hard_limit().value()) {
       mismatch = true;
       first = sids[i];
@@ -621,11 +585,9 @@ void Controller::shadow_check_leaf_limits() {
 void Controller::update_hard_limits() {
   auto& tree = cluster_.tree();
   const bool inc = config_.incremental;
-  // Leaves first, by server index (flat scans, no id-hash lookups): a
-  // server's limit moves only with its thermal state version, which
-  // leaf_limit() caches on.  Inside one tick none of a leaf limit's inputs
-  // move, so only the tick's first pass sweeps; later wake-batch passes go
-  // straight to the roll-up.
+  // Leaves first, by server index (flat scans, no id-hash lookups).  Inside
+  // one tick none of a leaf limit's inputs move, so only the tick's first
+  // pass sweeps; later wake-batch passes go straight to the roll-up.
   if (leaf_limits_current_) {
     if (config_.shadow_diff) shadow_check_leaf_limits();
   } else {
@@ -674,11 +636,14 @@ void Controller::update_hard_limits() {
   }
 }
 
-void Controller::shadow_check_division(NodeId id) {
-  auto& tree = cluster_.tree();
+const AllocationResult& Controller::divide(NodeId id) {
+  const auto& tree = cluster_.tree();
   const auto& n = tree.node(id);
   const auto& kids = n.children();
-  std::vector<Watts> demands(kids.size()), caps(kids.size());
+  auto& demands = alloc_demands_scratch_;
+  auto& caps = alloc_caps_scratch_;
+  demands.resize(kids.size());
+  caps.resize(kids.size());
   for (std::size_t i = 0; i < kids.size(); ++i) {
     const auto& child = tree.node(kids[i]);
     caps[i] = child.active() ? child.hard_limit() : Watts{0.0};
@@ -686,8 +651,15 @@ void Controller::shadow_check_division(NodeId id) {
                      ? (child.active() ? child.reported_demand() : Watts{0.0})
                      : caps[i];
   }
-  const AllocationResult alloc =
-      allocate_proportional(n.budget(), demands, caps);
+  allocate_proportional(n.budget(), demands, caps, alloc_scratch_,
+                        alloc_result_);
+  return alloc_result_;
+}
+
+void Controller::shadow_check_division(NodeId id) {
+  const auto& tree = cluster_.tree();
+  const auto& kids = tree.node(id).children();
+  const AllocationResult& alloc = divide(id);
   bool mismatch = false;
   for (std::size_t i = 0; i < kids.size(); ++i) {
     if (alloc.budgets[i].value() != tree.node(kids[i]).budget().value()) {
@@ -723,7 +695,6 @@ void Controller::supply_adaptation(Watts available_supply) {
     budget_reduced_ids_.clear();
   }
 
-  const bool observe = bus_ != nullptr && bus_->enabled();
   const bool inc = config_.incremental;
   std::uint64_t directives = 0;
   std::uint64_t memoized = 0;
@@ -751,39 +722,20 @@ void Controller::supply_adaptation(Watts available_supply) {
     fault::DownVerdict fate{};
     if (link_faults_ != nullptr && !n.is_root()) fate = link_faults_->down(id);
     if (fate.lose) {
-      if (c_directive_losses_ != nullptr) c_directive_losses_->increment();
-      if (observe) {
-        obs::Event e = make_event(obs::EventType::kLinkDrop, id, hier::kNoNode,
-                                  0, obs::Reason::kNone, budget.value(),
-                                  n.budget().value());
-        e.direction = obs::LinkDirection::kDown;
-        bus_->emit(std::move(e));
-      }
+      record_directive_loss(id, budget);
       queue_directive_retry(id, budget);
       return;
     }
-    const double previous = n.budget().value();
-    deliver_directive(id, budget);
+    deliver_directive(id, budget, fate.duplicate);
     drop_pending(id);
     if (!n.is_root()) ++directives;
-    if (fate.duplicate) {
-      // Same message applied twice: state is unchanged, but the message
-      // counters and the trace must carry both copies.
-      tree.record_budget_directive(id);
-      ++directives;
-      if (observe) {
-        bus_->emit(make_event(obs::EventType::kBudgetDirective, id,
-                              hier::kNoNode, 0, obs::Reason::kNone,
-                              budget.value(), previous));
-      }
-    }
+    if (fate.duplicate) ++directives;
   };
 
   const NodeId root = tree.root();
   mark_and_set(root, util::min(available_supply, tree.node(root).hard_limit()));
 
   for (NodeId id : internal_top_down_) {
-    auto& n = tree.node(id);
     if (inc && !division_dirty_[id]) {
       // Own budget, child demand vector and child capacities all unchanged
       // since this division last ran: the children's budgets stand.
@@ -792,21 +744,8 @@ void Controller::supply_adaptation(Watts available_supply) {
       continue;
     }
     division_dirty_[id] = 0;
-    const auto& kids = n.children();
-    auto& demands = alloc_demands_scratch_;
-    auto& caps = alloc_caps_scratch_;
-    demands.resize(kids.size());
-    caps.resize(kids.size());
-    for (std::size_t i = 0; i < kids.size(); ++i) {
-      const auto& child = tree.node(kids[i]);
-      caps[i] = child.active() ? child.hard_limit() : Watts{0.0};
-      demands[i] =
-          config_.allocation == AllocationPolicy::kProportionalToDemand
-              ? (child.active() ? child.reported_demand() : Watts{0.0})
-              : caps[i];
-    }
-    auto& alloc = alloc_result_;
-    allocate_proportional(n.budget(), demands, caps, alloc_scratch_, alloc);
+    const auto& kids = tree.node(id).children();
+    const AllocationResult& alloc = divide(id);
     for (std::size_t i = 0; i < kids.size(); ++i) {
       mark_and_set(kids[i], alloc.budgets[i]);
     }
@@ -826,29 +765,33 @@ void Controller::enforce_thermal_limits() {
     std::fill(thermally_clamped_.begin(), thermally_clamped_.end(), 0);
   }
   const auto& sids = cluster_.server_ids();
-  const bool observe = bus_ != nullptr && bus_->enabled();
   for (std::size_t i = 0; i < sids.size(); ++i) {
     const NodeId s = sids[i];
-    auto& leaf = tree.node(s);
-    if (!leaf.active()) continue;
-    const Watts limit = leaf_limit(i);
-    if (leaf.budget() > limit + Watts{kEps}) {
-      if (observe) {
-        bus_->emit(make_event(obs::EventType::kThermalThrottle, s,
-                              hier::kNoNode, 0, obs::Reason::kThermal,
-                              limit.value(), leaf.budget().value()));
-      }
-      leaf.set_budget(limit);
-      mark_budget_reduced(s);
+    if (tree.node(s).active() &&
+        clamp_budget(s, leaf_limit(i), obs::EventType::kThermalThrottle,
+                     obs::Reason::kThermal)) {
       thermally_clamped_[s] = 1;
-      // The clamp knocked this leaf off its parent's allocation; the next
-      // supply pass must re-divide (and will re-announce) or the two walk
-      // modes would diverge on where the budget sits between passes.
-      const NodeId p = leaf.parent();
-      if (p != hier::kNoNode) division_dirty_[p] = 1;
-      touch(s);
     }
   }
+}
+
+bool Controller::clamp_budget(NodeId server, Watts cap, obs::EventType type,
+                              obs::Reason reason) {
+  auto& leaf = cluster_.tree().node(server);
+  if (!(leaf.budget() > cap + Watts{kEps})) return false;
+  if (bus_ != nullptr && bus_->enabled()) {
+    bus_->emit(make_event(type, server, hier::kNoNode, 0, reason, cap.value(),
+                          leaf.budget().value()));
+  }
+  leaf.set_budget(cap);
+  mark_budget_reduced(server);
+  // The clamp knocked this leaf off its parent's allocation; the next supply
+  // pass must re-divide (and will re-announce) or the two walk modes would
+  // diverge on where the budget sits between passes.
+  const NodeId p = leaf.parent();
+  if (p != hier::kNoNode) division_dirty_[p] = 1;
+  touch(server);
+  return true;
 }
 
 void Controller::mark_budget_reduced(NodeId node) {
@@ -1055,8 +998,43 @@ void Controller::apply_migration(const PlanItem& item, NodeId target) {
                  << ", " << (rec.local ? "local" : "non-local") << ")";
 }
 
+void Controller::to_pack_items(const std::vector<PlanItem>& items,
+                               std::vector<binpack::Item>& out) {
+  out.clear();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    out.push_back({static_cast<std::uint64_t>(i), items[i].size.value(), 0});
+  }
+}
+
+void Controller::make_bins(const std::vector<NodeId>& targets,
+                           std::vector<binpack::Bin>& bins,
+                           std::vector<NodeId>& bin_nodes) const {
+  bins.clear();
+  bin_nodes.clear();
+  for (NodeId t : targets) {
+    const Watts cap = target_capacity(t);
+    if (cap.value() > kEps) {
+      bins.push_back({static_cast<std::uint64_t>(t), cap.value(), 0});
+      bin_nodes.push_back(t);
+    }
+  }
+}
+
+void Controller::collect_targets(NodeId scope, NodeId exclude,
+                                 std::vector<NodeId>& out) const {
+  const auto& tree = cluster_.tree();
+  const auto& arena = cluster_.arena();
+  out.clear();
+  for (const std::uint32_t slot : arena.subtree(scope)) {
+    const NodeId t = arena.node_of(slot);
+    if (t != exclude && tree.node(t).active() && eligible_target(t, scope)) {
+      out.push_back(t);
+    }
+  }
+}
+
 std::vector<std::size_t> Controller::pack_and_apply(
-    std::vector<PlanItem>& items, const std::vector<NodeId>& targets) {
+    const std::vector<PlanItem>& items, const std::vector<NodeId>& targets) {
   if (bus_ != nullptr) {
     if (c_pack_calls_ == nullptr) {
       auto& m = bus_->metrics();
@@ -1067,56 +1045,10 @@ std::vector<std::size_t> Controller::pack_and_apply(
     c_pack_calls_->increment();
     h_pack_items_->observe(static_cast<double>(items.size()));
   }
-  std::uint64_t items_sig = kFnvOffset;
-  bp_items_scratch_.clear();
-  bp_items_scratch_.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    bp_items_scratch_.push_back(
-        {static_cast<std::uint64_t>(i), items[i].size.value(), 0});
-    items_sig = fnv1a(items_sig, items[i].app);
-    items_sig = fnv1a(items_sig, bits_of(items[i].size.value()));
-  }
-  std::uint64_t bins_sig = kFnvOffset;
-  bp_bins_scratch_.clear();
-  bin_node_scratch_.clear();
-  for (NodeId t : targets) {
-    const Watts cap = target_capacity(t);
-    if (cap.value() > kEps) {
-      bp_bins_scratch_.push_back(
-          {static_cast<std::uint64_t>(t), cap.value(), 0});
-      bin_node_scratch_.push_back(t);
-      bins_sig = fnv1a(bins_sig, t);
-      bins_sig = fnv1a(bins_sig, bits_of(cap.value()));
-    }
-  }
-  // Previous-call reuse: when the identical all-unplaced problem comes back
-  // (same items, same bins), the packer's verdict stands; only no-assignment
-  // results are reusable because an applied assignment mutates the very
-  // surpluses the fingerprint hashed.
-  if (config_.incremental && pack_memo_.valid &&
-      pack_memo_.item_count == items.size() &&
-      pack_memo_.items_sig == items_sig && pack_memo_.bins_sig == bins_sig) {
-    if (config_.shadow_diff) {
-      const binpack::PackResult check =
-          binpack::pack(bp_items_scratch_, bp_bins_scratch_, config_.packing);
-      const bool mismatch = !check.assignments.empty() ||
-                            check.unplaced != pack_memo_.unplaced;
-      count_shadow_check(mismatch);
-      if (mismatch) {
-        throw std::logic_error(
-            "Controller shadow diff: reused packing no longer reproduces");
-      }
-    }
-    if (c_packings_reused_ != nullptr) c_packings_reused_->increment();
-    return pack_memo_.unplaced;
-  }
+  to_pack_items(items, bp_items_scratch_);
+  make_bins(targets, bp_bins_scratch_, bin_node_scratch_);
   const binpack::PackResult result =
       binpack::pack(bp_items_scratch_, bp_bins_scratch_, config_.packing);
-  pack_memo_.valid = result.assignments.empty();
-  pack_memo_.items_sig = items_sig;
-  pack_memo_.bins_sig = bins_sig;
-  pack_memo_.item_count = items.size();
-  pack_memo_.unplaced = result.unplaced;
   for (const auto& a : result.assignments) {
     apply_migration(items[a.item], bin_node_scratch_[a.bin]);
   }
@@ -1187,15 +1119,7 @@ void Controller::demand_adaptation() {
               .push_back(item);
         }
         if (in_scope.empty()) continue;
-        target_scratch_.clear();
-        const auto& arena = cluster_.arena();
-        const SubtreeSpan span = arena.subtree(p);
-        for (std::uint32_t k = 0; k < span.size(); ++k) {
-          const NodeId s = arena.node_of(span[k]);
-          if (tree.node(s).active() && eligible_target(s, p)) {
-            target_scratch_.push_back(s);
-          }
-        }
+        collect_targets(p, hier::kNoNode, target_scratch_);
         const auto unplaced = pack_and_apply(in_scope, target_scratch_);
         pending = std::move(out_of_scope);
         for (std::size_t idx : unplaced) pending.push_back(in_scope[idx]);
@@ -1270,16 +1194,7 @@ void Controller::demand_adaptation() {
         const NodeId s = sleepers.back().second;
         sleepers.pop_back();
         cluster_.wake_server(s);
-        {
-          // The wake flips an active flag the aggregation sweeps cannot see.
-          const NodeId p = tree.node(s).parent();
-          if (p != hier::kNoNode) {
-            limit_dirty_[p] = 1;
-            division_dirty_[p] = 1;
-          }
-          tree.mark_report_dirty(s);
-          touch(s);
-        }
+        note_active_flip(s);
         ++stats_.wakes;
         events_this_tick_.push_back(
             {EventKind::kWake, tick_, 0, s, hier::kNoNode, Watts{0.0}});
@@ -1406,82 +1321,66 @@ void Controller::shed_leftovers(std::vector<PlanItem>& pending) {
   }
 }
 
+// ---- consolidation (Sec. IV-C, IV-E) ----------------------------------------
+//
+// One ΔA pass judges every server, then drains the below-threshold candidates
+// in one deterministic sweep: each candidate's apps must all find a berth,
+// within its parent group first and fleet-wide otherwise, or the server stays
+// up.  Fleet-scope verdicts come from a point-updated capacity index
+// (fast_root_pack); local-scope dry runs may be precomputed on the worker
+// pool (precompute_local_plans); and a candidate whose fleet-scope failure
+// still stands is skipped outright (root_fail_cached).
+
 void Controller::consolidate() {
-  auto& tree = cluster_.tree();
-  const bool inc = config_.incremental;
+  consol_tally_ = {};
+  judge_consol_candidates();
+  consol_index_built_ = false;
+  const std::size_t n_cand = consol_order_.size();
+  if (consol_plan_.size() < n_cand) consol_plan_.resize(n_cand);
+  for (std::size_t k = 0; k < n_cand; ++k) consol_plan_[k].computed = false;
+  if (pool_ != nullptr && config_.incremental && config_.prefer_local &&
+      !config_.shadow_diff && n_cand >= 32) {
+    precompute_local_plans();
+  }
+  for (std::size_t k = 0; k < n_cand; ++k) drain_candidate(k);
+  if (c_consol_candidates_ != nullptr) {
+    const ConsolTally& t = consol_tally_;
+    c_packings_reused_->increment(t.cache_served);
+    c_consol_candidates_->increment(t.candidates);
+    c_consol_drained_->increment(t.drained);
+    c_consol_cache_served_->increment(t.cache_served);
+    c_consol_batched_->increment(t.batched);
+    c_index_point_updates_->increment(t.index_updates);
+  }
+}
+
+void Controller::judge_consol_candidates() {
+  const auto& tree = cluster_.tree();
   const bool thermal_ref = config_.utilization_reference ==
                            UtilizationReference::kThermalSustainable;
   const auto& sids = cluster_.server_ids();
   const std::size_t count = sids.size();
-
-  // Per-server sustainable dynamic envelope, cached on the thermal state
-  // version (only an ambient change can move it; the version over-counts by
-  // also bumping on temperature, which merely re-derives the same value).
-  // Under the thermal reference, utilization is judged against the fleet's
-  // best envelope so a hot-zone server with modest load still qualifies, and
-  // thermally weakest servers drain first — "Willow tries to move as much
-  // work away from these servers as possible due to their high temperatures"
-  // (Sec. V-B3, Fig. 7).
-  double fleet_envelope = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
+  // A server's sustainable dynamic envelope.  Under the thermal reference,
+  // utilization is judged against the fleet's best envelope so a hot-zone
+  // server with modest load still qualifies, and thermally weakest servers
+  // drain first — "Willow tries to move as much work away from these servers
+  // as possible due to their high temperatures" (Sec. V-B3, Fig. 7).
+  auto envelope = [&](std::size_t i) {
     const auto& srv = cluster_.server_at(i);
-    const std::uint64_t v = srv.thermal().state_version();
-    if (server_envelope_version_[i] != v) {
-      server_envelope_version_[i] = v;
-      server_envelope_[i] =
-          (srv.thermal().steady_state_power_limit() - srv.idle_floor())
-              .value();
-    }
-    if (thermal_ref) {
-      fleet_envelope = std::max(fleet_envelope, server_envelope_[i]);
+    return (srv.thermal().steady_state_power_limit() - srv.idle_floor())
+        .value();
+  };
+  double fleet_envelope = 0.0;
+  if (thermal_ref) {
+    for (std::size_t i = 0; i < count; ++i) {
+      fleet_envelope = std::max(fleet_envelope, envelope(i));
     }
   }
-  const bool envelope_shift =
-      thermal_ref && fleet_envelope != cached_fleet_envelope_;
-  cached_fleet_envelope_ = thermal_ref ? fleet_envelope : 0.0;
-
-  // Candidate index refresh: an entry is a pure function of the server's
-  // reported demand, budget and envelope — all epoch-stamped — plus the
-  // fleet envelope, so only servers whose subtree moved are re-judged.
   // Candidates: active servers whose *demand-based* utilization sits below
   // the threshold (budget starvation must not masquerade as idleness).
-  bool entries_changed = false;
+  consol_order_.clear();
   for (std::size_t i = 0; i < count; ++i) {
-    const NodeId s = sids[i];
-    if (inc && !envelope_shift && consol_entry_epoch_[i] == subtree_epoch_[s]) {
-      if (config_.shadow_diff) {
-        ConsolEntry fresh;
-        const auto& leaf = tree.node(s);
-        if (leaf.active() && reported_deficit(leaf).value() <= kEps) {
-          const auto& srv = cluster_.server_at(i);
-          const Watts dynamic =
-              util::positive_part(leaf.reported_demand() - srv.idle_floor());
-          const double range =
-              thermal_ref ? fleet_envelope
-                          : srv.power_model().dynamic_range().value();
-          const double u = range > 0.0 ? dynamic.value() / range : 0.0;
-          if (u < config_.consolidation_threshold) {
-            fresh.eligible = true;
-            fresh.utilization = u;
-            fresh.envelope = server_envelope_[i];
-          }
-        }
-        const ConsolEntry& held = consol_entry_[i];
-        const bool mismatch = fresh.eligible != held.eligible ||
-                              fresh.utilization != held.utilization ||
-                              fresh.envelope != held.envelope;
-        count_shadow_check(mismatch);
-        if (mismatch) {
-          throw std::logic_error(
-              "Controller shadow diff: stale consolidation entry for server " +
-              std::to_string(s));
-        }
-      }
-      continue;
-    }
-    consol_entry_epoch_[i] = subtree_epoch_[s];
-    ConsolEntry e;
-    const auto& leaf = tree.node(s);
+    const auto& leaf = tree.node(sids[i]);
     if (leaf.active() && reported_deficit(leaf).value() <= kEps) {
       const auto& srv = cluster_.server_at(i);
       const Watts dynamic =
@@ -1491,54 +1390,243 @@ void Controller::consolidate() {
                                : srv.power_model().dynamic_range().value();
       const double u = range > 0.0 ? dynamic.value() / range : 0.0;
       if (u < config_.consolidation_threshold) {
-        e.eligible = true;
-        e.utilization = u;
-        e.envelope = server_envelope_[i];
+        consol_order_.push_back(
+            {static_cast<std::uint32_t>(i), u, envelope(i)});
       }
     }
-    const ConsolEntry& old = consol_entry_[i];
-    if (e.eligible != old.eligible || e.utilization != old.utilization ||
-        e.envelope != old.envelope) {
-      entries_changed = true;
-    }
-    consol_entry_[i] = e;
   }
+  // The kEps-banded envelope comparison is not a strict weak order, so the
+  // result depends on the input order as well as the comparator: the list
+  // is always built in ascending server index and sorted stably.
+  std::stable_sort(consol_order_.begin(), consol_order_.end(),
+                   [&](const ConsolCandidate& a, const ConsolCandidate& b) {
+                     if (thermal_ref &&
+                         std::abs(a.envelope - b.envelope) > kEps) {
+                       return a.envelope < b.envelope;  // hottest first
+                     }
+                     if (a.utilization != b.utilization) {
+                       return a.utilization < b.utilization;
+                     }
+                     return a.server < b.server;  // explicit tie-break
+                   });
+}
 
-  // Utilization-ordered candidate list, reused verbatim while no entry
-  // changed (the kEps-banded envelope comparator is not incrementally
-  // maintainable, so any change rebuilds the order from scratch).
-  if (!inc || entries_changed || !consol_order_valid_) {
-    consol_order_.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      if (consol_entry_[i].eligible) {
-        consol_order_.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    std::stable_sort(consol_order_.begin(), consol_order_.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       const ConsolEntry& ea = consol_entry_[a];
-                       const ConsolEntry& eb = consol_entry_[b];
-                       if (thermal_ref &&
-                           std::abs(ea.envelope - eb.envelope) > kEps) {
-                         return ea.envelope < eb.envelope;  // hottest first
-                       }
-                       if (ea.utilization != eb.utilization) {
-                         return ea.utilization < eb.utilization;
-                       }
-                       return a < b;  // explicit server-order tie-break
-                     });
-    consol_order_valid_ = true;
+bool Controller::drain_blocked(std::uint32_t server_index) const {
+  const NodeId s = cluster_.server_ids()[server_index];
+  if (targets_this_tick_.contains(s)) return true;
+  // Latency mode: leave servers with transfers in either direction alone
+  // until the dust settles.
+  if (reserved_in_w_[s] > kEps || outbound_in_flight_w_[s] > kEps) return true;
+  for (const auto& a : cluster_.server_at(server_index).apps()) {
+    if (apps_in_flight_.contains(a.id())) return true;
   }
+  return false;
+}
 
+std::uint64_t Controller::consol_items(std::uint32_t server_index,
+                                       std::vector<PlanItem>& items) const {
+  // All-or-nothing: every hosted app (even dropped ones — a sleeping host
+  // cannot retain VMs) must find a berth.  The signature fingerprints what
+  // would be drained: the packing outcome depends on each hosted app's
+  // identity and live demand, which churn can change without moving the
+  // epoch-stamped aggregate (sums can collide bitwise).
+  const NodeId s = cluster_.server_ids()[server_index];
+  std::uint64_t sig = kFnvOffset;
+  items.clear();
+  for (const auto& a : cluster_.server_at(server_index).apps()) {
+    const Watts demand = a.dropped() ? Watts{0.0} : a.demand();
+    sig = fnv1a(sig, a.id());
+    sig = fnv1a(sig, bits_of(demand.value()));
+    items.push_back({a.id(), s, demand + config_.migration_cost, demand,
+                     MigrationCause::kConsolidation,
+                     obs::Reason::kConsolidation});
+  }
+  return sig;
+}
+
+bool Controller::root_fail_cached(std::uint32_t server_index,
+                                  std::uint64_t sig) const {
+  const ConsolFail& f = consol_fail_root_[server_index];
+  return config_.incremental && f.valid &&
+         f.epoch == subtree_epoch_[cluster_.tree().root()] &&
+         f.item_sig == sig;
+}
+
+void Controller::precompute_local_plans() {
+  // Each candidate's first question — "does it drain within its parent
+  // group?" — reads only state under that parent plus pure per-server
+  // functions, so the answers are independent and can be precomputed across
+  // the worker pool into disjoint plan slots.  The serial drain consumes a
+  // slot only while the scope's change epoch still matches the snapshot,
+  // which proves a serial recompute would reproduce the plan bitwise — the
+  // decision stream is identical for any pool size (including none).
+  const auto& tree = cluster_.tree();
+  const auto& sids = cluster_.server_ids();
   const NodeId root = tree.root();
-  std::uint64_t reused = 0;
-  std::uint64_t n_candidates = 0;
-  std::uint64_t n_drained = 0;
-  std::uint64_t n_cache_served = 0;
-  std::uint64_t n_batched = 0;
-  std::uint64_t index_updates = 0;
+  util::parallel_for_ranges(
+      pool_, consol_order_.size(), [&](std::size_t begin, std::size_t end) {
+        // Worker-local buffers; the shared scratch members stay untouched
+        // until the serial drain.
+        std::vector<NodeId> targets;
+        std::vector<binpack::Item> bp_items;
+        std::vector<binpack::Bin> bp_bins;
+        std::vector<NodeId> bin_nodes;
+        for (std::size_t k = begin; k < end; ++k) {
+          const std::uint32_t ci = consol_order_[k].server;
+          const NodeId s = sids[ci];
+          const NodeId scope = tree.node(s).parent();
+          if (scope == hier::kNoNode || scope == root) continue;
+          // Mirror the drain's checks (cheap reads, frozen during this
+          // phase); a candidate skipped here just recomputes serially.
+          if (drain_blocked(ci) || cluster_.server_at(ci).apps().empty()) {
+            continue;
+          }
+          ConsolPlan& plan = consol_plan_[k];
+          const std::uint64_t sig = consol_items(ci, plan.items);
+          // The drain answers this one from the root failure cache before
+          // it would look at a local plan.
+          if (root_fail_cached(ci, sig)) continue;
+          collect_targets(scope, s, targets);
+          to_pack_items(plan.items, bp_items);
+          make_bins(targets, bp_bins, bin_nodes);
+          const binpack::PackResult result =
+              binpack::pack(bp_items, bp_bins, config_.packing);
+          plan.assign.clear();
+          for (const auto& a : result.assignments) {
+            plan.assign.emplace_back(a.item, bin_nodes[a.bin]);
+          }
+          plan.placed_all = result.all_placed();
+          plan.sig = sig;
+          plan.scope_epoch = subtree_epoch_[scope];
+          plan.computed = true;
+        }
+      });
+}
 
-  // --- Fleet-scope capacity index -----------------------------------------
+void Controller::drain_candidate(std::size_t k) {
+  const auto& tree = cluster_.tree();
+  const NodeId root = tree.root();
+  const std::uint32_t ci = consol_order_[k].server;
+  const NodeId s = cluster_.server_ids()[ci];
+  if (drain_blocked(ci)) return;
+  ++consol_tally_.candidates;
+  const auto& srv = cluster_.server_at(ci);
+  if (srv.apps().empty()) {
+    put_to_sleep(s);
+    ++consol_tally_.drained;
+    return;
+  }
+
+  // The item list lives in the candidate's plan slot (member scratch — no
+  // per-candidate allocation).
+  ConsolPlan& plan = consol_plan_[k];
+  const std::uint64_t sig = consol_items(ci, plan.items);
+  const std::vector<PlanItem>& items = plan.items;
+  const bool cached_root_fail = root_fail_cached(ci, sig);
+  if (cached_root_fail && !config_.shadow_diff) {
+    // Nothing anywhere in the tree changed since this candidate last failed
+    // to drain at fleet scope: it fails again.
+    ++consol_tally_.cache_served;
+    return;
+  }
+
+  NodeId scope = config_.prefer_local ? tree.node(s).parent() : root;
+  bool placed_all = false;
+  if (scope != root && plan.computed && plan.sig == sig &&
+      plan.scope_epoch == subtree_epoch_[scope]) {
+    // Phase-1 verdict still valid: nothing under the scope moved since the
+    // precompute, so a serial dry run would reproduce it bitwise.
+    placed_all = plan.placed_all;
+    fast_assign_scratch_.assign(plan.assign.begin(), plan.assign.end());
+  } else {
+    placed_all = run_scope(s, items, scope);
+  }
+  if (!placed_all && scope != root) {
+    scope = root;
+    placed_all = run_scope(s, items, root);
+  }
+  if (!placed_all) {
+    consol_fail_root_[ci] = {subtree_epoch_[root], sig, true};
+    if (cached_root_fail) count_shadow_check(false);  // verdict held
+    return;
+  }
+  if (cached_root_fail) {
+    // Shadow mode re-ran a cached fleet-scope failure and it placed.
+    count_shadow_check(true);
+    throw std::logic_error(
+        "Controller shadow diff: cached root consolidation failure for "
+        "server " +
+        std::to_string(s) + " now succeeds");
+  }
+  for (const auto& [item_idx, tgt] : fast_assign_scratch_) {
+    apply_migration(items[item_idx], tgt);
+    consol_index_update(tgt);  // capacity shrank; no-op if index not built
+  }
+  ++consol_tally_.drained;
+  if (srv.apps().empty()) {
+    put_to_sleep(s);
+    WILLOW_INFO() << "consolidated server " << s << " to sleep";
+  } else {
+    // Latency mode: the VMs are still transferring; the server sleeps at a
+    // later ΔA once it is empty (the in-flight guard keeps it untouched
+    // until then).
+    WILLOW_INFO() << "consolidation of server " << s
+                  << " deferred until transfers land";
+  }
+}
+
+bool Controller::run_scope(NodeId candidate,
+                           const std::vector<PlanItem>& items, NodeId scope) {
+  // The capacity index replays FFDLR only; other packers take the dry run.
+  if (config_.incremental && config_.packing == binpack::Algorithm::kFfdlr &&
+      scope == cluster_.tree().root()) {
+    const bool verdict = fast_root_pack(candidate, items);
+    ++consol_tally_.batched;
+    if (config_.shadow_diff) {
+      shadow_check_fast_root_pack(candidate, items, verdict);
+    }
+    return verdict;
+  }
+  const binpack::PackResult result = dry_run(candidate, items, scope);
+  fast_assign_scratch_.clear();
+  for (const auto& a : result.assignments) {
+    fast_assign_scratch_.emplace_back(a.item, bin_node_scratch_[a.bin]);
+  }
+  return result.all_placed();
+}
+
+binpack::PackResult Controller::dry_run(NodeId candidate,
+                                        const std::vector<PlanItem>& items,
+                                        NodeId scope) {
+  collect_targets(scope, candidate, target_scratch_);
+  to_pack_items(items, bp_items_scratch_);
+  make_bins(target_scratch_, bp_bins_scratch_, bin_node_scratch_);
+  return binpack::pack(bp_items_scratch_, bp_bins_scratch_, config_.packing);
+}
+
+void Controller::shadow_check_fast_root_pack(
+    NodeId candidate, const std::vector<PlanItem>& items, bool verdict) {
+  const auto full = dry_run(candidate, items, cluster_.tree().root());
+  bool mismatch = full.all_placed() != verdict;
+  if (!mismatch && verdict) {
+    mismatch = full.assignments.size() != fast_assign_scratch_.size();
+    for (std::size_t j = 0; !mismatch && j < fast_assign_scratch_.size();
+         ++j) {
+      mismatch = full.assignments[j].item != fast_assign_scratch_[j].first ||
+                 bin_node_scratch_[full.assignments[j].bin] !=
+                     fast_assign_scratch_[j].second;
+    }
+  }
+  count_shadow_check(mismatch);
+  if (mismatch) {
+    throw std::logic_error(
+        "Controller shadow diff: consolidation fast path diverged for "
+        "server " +
+        std::to_string(candidate));
+  }
+}
+
+void Controller::build_consol_index() {
   // At fleet scope every candidate's dry run used to rescan all servers and
   // recompute every target capacity: O(candidates × fleet) per consolidate.
   // Within one consolidate() call the inputs of target_capacity() and
@@ -1552,547 +1640,226 @@ void Controller::consolidate() {
   // is ascending NodeId.  Built lazily on the first fleet-scope dry run, so a
   // settled fleet (all verdicts cached) pays nothing; under churn the batched
   // drain point-updates it thousands of times per pass, hence the std::set.
-  const auto& arena = cluster_.arena();
-  consol_index_built_ = false;
-  auto consol_index_erase = [&](NodeId t) {
-    if (!consol_index_built_) return;
-    const std::uint32_t slot = arena.slot_of(t);
-    const double key = consol_cap_of_[slot];
-    if (key < 0.0) return;
-    consol_cap_index_.erase(std::pair<double, NodeId>{key, t});
-    consol_cap_of_[slot] = -1.0;
-    ++index_updates;
-  };
-  auto consol_index_update = [&](NodeId t) {
-    if (!consol_index_built_) return;
-    consol_index_erase(t);
-    const std::uint32_t slot = arena.slot_of(t);
-    if (consol_root_eligible_[slot] == 0 || !tree.node(t).active()) return;
-    const double cap = target_capacity(t).value();
-    if (cap <= kEps) return;
-    consol_cap_index_.insert(std::pair<double, NodeId>{cap, t});
-    consol_cap_of_[slot] = cap;
-    ++index_updates;
-  };
-  auto build_consol_index = [&]() {
-    consol_root_eligible_.assign(count, 1);
-    if (config_.enforce_unidirectional) {
-      // eligible_target(t, root) bans targets whose path [parent(t), root)
-      // crosses a reduced node in reported deficit; one top-down pass
-      // (parents precede children by id) folds the flag along every path.
-      std::vector<char> banned(tree.size(), 0);
-      for (NodeId x = 0; x < static_cast<NodeId>(tree.size()); ++x) {
-        if (x == root) continue;
-        const auto& node = tree.node(x);
-        const NodeId p = node.parent();
-        banned[x] = ((budget_reduced_[x] &&
-                      reported_deficit(node).value() > kEps) ||
-                     (p != hier::kNoNode && p != root && banned[p] != 0))
-                        ? 1
-                        : 0;
-      }
-      for (std::size_t i = 0; i < count; ++i) {
-        const NodeId p = tree.node(sids[i]).parent();
-        consol_root_eligible_[i] =
-            (p == hier::kNoNode || p == root || banned[p] == 0) ? 1 : 0;
-      }
+  const auto& tree = cluster_.tree();
+  const NodeId root = tree.root();
+  const auto& sids = cluster_.server_ids();
+  const std::size_t count = sids.size();
+  consol_root_eligible_.assign(count, 1);
+  if (config_.enforce_unidirectional) {
+    // eligible_target(t, root) bans targets whose path [parent(t), root)
+    // crosses a reduced node in reported deficit; one top-down pass (parents
+    // precede children by id) folds the flag along every path.
+    std::vector<char> banned(tree.size(), 0);
+    for (NodeId x = 0; x < static_cast<NodeId>(tree.size()); ++x) {
+      if (x == root) continue;
+      const auto& node = tree.node(x);
+      const NodeId p = node.parent();
+      banned[x] = ((budget_reduced_[x] &&
+                    reported_deficit(node).value() > kEps) ||
+                   (p != hier::kNoNode && p != root && banned[p] != 0))
+                      ? 1
+                      : 0;
     }
-    // Fill a flat scratch first and feed the set with hinted end-inserts:
-    // O(n log n) sort + O(n) tree construction instead of n log n node-by-
-    // node insertions with cold-cache rebalancing.
-    auto& flat = consol_index_build_scratch_;
-    flat.clear();
-    consol_cap_of_.assign(count, -1.0);
     for (std::size_t i = 0; i < count; ++i) {
-      const NodeId t = sids[i];
-      if (consol_root_eligible_[i] == 0 || !tree.node(t).active()) continue;
-      const double cap = target_capacity(t).value();
-      if (cap > kEps) {
-        flat.emplace_back(cap, t);
-        consol_cap_of_[i] = cap;
-      }
+      const NodeId p = tree.node(sids[i]).parent();
+      consol_root_eligible_[i] =
+          (p == hier::kNoNode || p == root || banned[p] == 0) ? 1 : 0;
     }
-    std::sort(flat.begin(), flat.end());
-    consol_cap_index_.clear();
-    for (const auto& entry : flat) {
-      consol_cap_index_.insert(consol_cap_index_.end(), entry);
+  }
+  // Fill a flat scratch first and feed the set with hinted end-inserts:
+  // O(n log n) sort + O(n) tree construction instead of n log n node-by-node
+  // insertions with cold-cache rebalancing.
+  auto& flat = consol_index_build_scratch_;
+  flat.clear();
+  consol_cap_of_.assign(count, -1.0);
+  for (std::size_t i = 0; i < count; ++i) {
+    const NodeId t = sids[i];
+    if (consol_root_eligible_[i] == 0 || !tree.node(t).active()) continue;
+    const double cap = target_capacity(t).value();
+    if (cap > kEps) {
+      flat.emplace_back(cap, t);
+      consol_cap_of_[i] = cap;
     }
-    consol_index_built_ = true;
+  }
+  std::sort(flat.begin(), flat.end());
+  consol_cap_index_.clear();
+  for (const auto& entry : flat) {
+    consol_cap_index_.insert(consol_cap_index_.end(), entry);
+  }
+  consol_index_built_ = true;
+}
+
+void Controller::consol_index_erase(NodeId target) {
+  if (!consol_index_built_) return;
+  const std::uint32_t slot = cluster_.arena().slot_of(target);
+  const double key = consol_cap_of_[slot];
+  if (key < 0.0) return;
+  consol_cap_index_.erase(std::pair<double, NodeId>{key, target});
+  consol_cap_of_[slot] = -1.0;
+  ++consol_tally_.index_updates;
+}
+
+void Controller::consol_index_update(NodeId target) {
+  if (!consol_index_built_) return;
+  consol_index_erase(target);
+  const std::uint32_t slot = cluster_.arena().slot_of(target);
+  if (consol_root_eligible_[slot] == 0 ||
+      !cluster_.tree().node(target).active()) {
+    return;
+  }
+  const double cap = target_capacity(target).value();
+  if (cap <= kEps) return;
+  consol_cap_index_.insert(std::pair<double, NodeId>{cap, target});
+  consol_cap_of_[slot] = cap;
+  ++consol_tally_.index_updates;
+}
+
+void Controller::put_to_sleep(NodeId server) {
+  auto& tree = cluster_.tree();
+  consol_index_erase(server);
+  cluster_.sleep_server(server);
+  // Zeroed outside the distributor's bookkeeping.
+  tree.node(server).set_budget(Watts{0.0});
+  note_active_flip(server);
+  ++stats_.sleeps;
+  events_this_tick_.push_back(
+      {EventKind::kSleep, tick_, 0, server, hier::kNoNode, Watts{0.0}});
+  if (bus_ != nullptr && bus_->enabled()) {
+    bus_->emit(make_event(obs::EventType::kSleep, server, hier::kNoNode, 0,
+                          obs::Reason::kConsolidation));
+  }
+}
+
+bool Controller::fast_root_pack(NodeId candidate,
+                                const std::vector<PlanItem>& items) {
+  // Reproduce pack(kFfdlr)'s fleet-scope verdict from the shared capacity
+  // index instead of rebuilding all fleet bins per candidate.  The virtual
+  // groups depend only on the items and cmax; each group then lands in the
+  // first unused index entry with capacity + eps >= content — the bin pack()
+  // would pick, because the index order equals pack()'s real-bin order.
+  // Groups that fit no single unused bin spill into pack()'s final best-fit
+  // pass, replayed here over the index plus the residuals of already-touched
+  // bins, so every verdict is two-valued: true = placed-all (plan in
+  // fast_assign_scratch_, pack()'s emission order), false = pack() would
+  // leave something unplaced.
+  if (!consol_index_built_) build_consol_index();
+  double cmax = 0.0;
+  for (auto it = consol_cap_index_.rbegin(); it != consol_cap_index_.rend();
+       ++it) {
+    if (it->second != candidate) {
+      cmax = it->first;
+      break;
+    }
+  }
+  if (cmax <= 0.0) return false;  // no usable bin anywhere in the fleet
+  to_pack_items(items, bp_items_scratch_);
+  const binpack::VirtualGroups vg =
+      binpack::ffdlr_virtual_groups(bp_items_scratch_, cmax);
+  if (!vg.oversized.empty()) return false;  // unplaceable regardless
+  fast_assign_scratch_.clear();
+  // Bins this plan already used, as (node, residual) in touch order, and
+  // the items that fell out of whole-group placement.  Both are tiny
+  // (bounded by the candidate's app count), so linear membership scans
+  // beat any indexed structure.
+  auto& touched = fast_touched_scratch_;
+  touched.clear();
+  auto& leftovers = fast_leftover_scratch_;
+  leftovers.clear();
+  auto is_touched = [&](NodeId t) {
+    for (const auto& e : touched) {
+      if (e.first == t) return true;
+    }
+    return false;
   };
-
-  auto put_to_sleep = [&](NodeId s) {
-    consol_index_erase(s);
-    cluster_.sleep_server(s);
-    tree.node(s).set_budget(Watts{0.0});
-    // The sleep flips an active flag (parent's roll-up and division change)
-    // and zeroes a budget outside the distributor's bookkeeping.
-    const NodeId p = tree.node(s).parent();
-    if (p != hier::kNoNode) {
-      limit_dirty_[p] = 1;
-      division_dirty_[p] = 1;
+  for (const auto& g : vg.groups) {
+    // Start at the first entry that could pass capacity + eps >= content
+    // (the two boundary forms differ far below eps at watt magnitudes)
+    // and advance with pack()'s exact predicate.
+    auto it = consol_cap_index_.lower_bound(
+        std::pair<double, NodeId>{g.content - 2 * kEps, NodeId{0}});
+    NodeId chosen = hier::kNoNode;
+    double chosen_cap = 0.0;
+    for (; it != consol_cap_index_.end(); ++it) {
+      if (!binpack::fits(it->first, g.content)) continue;
+      if (it->second == candidate || is_touched(it->second)) continue;
+      chosen = it->second;
+      chosen_cap = it->first;
+      break;
     }
-    tree.mark_report_dirty(s);
-    touch(s);
-    ++stats_.sleeps;
-    events_this_tick_.push_back(
-        {EventKind::kSleep, tick_, 0, s, hier::kNoNode, Watts{0.0}});
-    if (bus_ != nullptr && bus_->enabled()) {
-      bus_->emit(make_event(obs::EventType::kSleep, s, hier::kNoNode, 0,
-                            obs::Reason::kConsolidation));
+    if (chosen == hier::kNoNode) {
+      // No single unused bin holds the whole group; its items retry
+      // singly below, exactly as pack() spills them.
+      leftovers.insert(leftovers.end(), g.items.begin(), g.items.end());
+      continue;
     }
-  };
-
-  // --- Phase 1: parallel local-scope dry runs ------------------------------
-  // Each candidate's first question — "does it drain within its parent
-  // group?" — reads only state under that parent plus pure per-server
-  // functions, so the answers are independent and can be precomputed across
-  // the worker pool into disjoint plan slots.  The serial drain below
-  // consumes a slot only while the scope's change epoch still matches the
-  // snapshot, which proves a serial recompute would reproduce the plan
-  // bitwise — the decision stream is identical for any pool size (including
-  // none).  Skipped under shadow_diff so the shadow path re-derives
-  // everything itself.
-  const std::size_t n_cand = consol_order_.size();
-  if (consol_plan_.size() < n_cand) consol_plan_.resize(n_cand);
-  for (std::size_t k = 0; k < n_cand; ++k) consol_plan_[k].computed = false;
-  const bool precompute = pool_ != nullptr && inc && config_.prefer_local &&
-                          !config_.shadow_diff && n_cand >= 32;
-  if (precompute) {
-    util::parallel_for_ranges(
-        pool_, n_cand, [&](std::size_t begin, std::size_t end) {
-          // Worker-local pack buffers; the shared bp_*_scratch_ members stay
-          // untouched until the serial phase.
-          std::vector<binpack::Item> bp_items;
-          std::vector<binpack::Bin> bp_bins;
-          std::vector<NodeId> bin_nodes;
-          for (std::size_t k = begin; k < end; ++k) {
-            const std::uint32_t ci = consol_order_[k];
-            const NodeId s = sids[ci];
-            const NodeId scope = tree.node(s).parent();
-            if (scope == hier::kNoNode || scope == root) continue;
-            // Mirror the serial skip checks (cheap reads, frozen during this
-            // phase); a candidate skipped here just recomputes serially.
-            if (targets_this_tick_.contains(s)) continue;
-            if (reserved_in_w_[s] > kEps || outbound_in_flight_w_[s] > kEps) {
-              continue;
-            }
-            const auto& srv = cluster_.server_at(ci);
-            if (srv.apps().empty()) continue;
-            bool hosts_in_flight = false;
-            for (const auto& a : srv.apps()) {
-              if (apps_in_flight_.contains(a.id())) {
-                hosts_in_flight = true;
-                break;
-              }
-            }
-            if (hosts_in_flight) continue;
-            ConsolPlan& plan = consol_plan_[k];
-            std::uint64_t sig = kFnvOffset;
-            plan.items.clear();
-            for (const auto& a : srv.apps()) {
-              sig = fnv1a(sig, a.id());
-              sig = fnv1a(sig, bits_of(a.dropped() ? 0.0 : a.demand().value()));
-              plan.items.push_back({a.id(), s,
-                                    (a.dropped() ? Watts{0.0} : a.demand()) +
-                                        config_.migration_cost,
-                                    a.dropped() ? Watts{0.0} : a.demand(),
-                                    MigrationCause::kConsolidation,
-                                    obs::Reason::kConsolidation});
-            }
-            // The local failure cache already answers at this epoch: the
-            // serial phase will take that path without needing a plan.
-            if (consol_fail_local_[ci].valid &&
-                consol_fail_local_[ci].epoch == subtree_epoch_[scope] &&
-                consol_fail_local_[ci].item_sig == sig) {
-              continue;
-            }
-            bp_items.clear();
-            for (std::size_t i = 0; i < plan.items.size(); ++i) {
-              bp_items.push_back({i, plan.items[i].size.value(), 0});
-            }
-            bp_bins.clear();
-            bin_nodes.clear();
-            const SubtreeSpan span = arena.subtree(scope);
-            for (const std::uint32_t slot : span) {
-              const NodeId t = arena.node_of(slot);
-              if (t == s) continue;
-              if (!tree.node(t).active()) continue;
-              if (!eligible_target(t, scope)) continue;
-              const Watts cap = target_capacity(t);
-              if (cap.value() > kEps) {
-                bp_bins.push_back({static_cast<std::uint64_t>(t), cap.value(), 0});
-                bin_nodes.push_back(t);
-              }
-            }
-            const binpack::PackResult result =
-                binpack::pack(bp_items, bp_bins, config_.packing);
-            plan.assign.clear();
-            for (const auto& a : result.assignments) {
-              plan.assign.emplace_back(a.item, bin_nodes[a.bin]);
-            }
-            plan.placed_all = result.all_placed();
-            plan.sig = sig;
-            plan.scope_epoch = subtree_epoch_[scope];
-            plan.computed = true;
-          }
-        });
+    double residual = chosen_cap;
+    for (const std::size_t item : g.items) {
+      fast_assign_scratch_.emplace_back(item, chosen);
+      // Sequential subtraction, like MutableBins::place — the running
+      // residual must match pack()'s bits, and float subtraction is not
+      // associative.
+      residual -= items[item].size.value();
+    }
+    touched.emplace_back(chosen, residual);
   }
-
-  // --- Phase 2: serial drain in candidate order ----------------------------
-  for (std::size_t k = 0; k < n_cand; ++k) {
-    const std::uint32_t ci = consol_order_[k];
-    const NodeId s = sids[ci];
-    if (targets_this_tick_.contains(s)) continue;
-    // Latency mode: leave servers with transfers in either direction alone
-    // until the dust settles.
-    if (reserved_in_w_[s] > kEps || outbound_in_flight_w_[s] > kEps) continue;
-    auto& srv = cluster_.server_at(ci);
-    bool hosts_in_flight = false;
-    for (const auto& a : srv.apps()) {
-      if (apps_in_flight_.contains(a.id())) {
-        hosts_in_flight = true;
-        break;
-      }
-    }
-    if (hosts_in_flight) continue;
-    ++n_candidates;
-    if (srv.apps().empty()) {
-      put_to_sleep(s);
-      ++n_drained;
-      continue;
-    }
-
-    // Fingerprint of what would be drained: the packing outcome depends on
-    // each hosted app's identity and live demand, which churn can change
-    // without moving the epoch-stamped aggregate (sums can collide bitwise).
-    std::uint64_t sig = kFnvOffset;
-    for (const auto& a : srv.apps()) {
-      sig = fnv1a(sig, a.id());
-      sig = fnv1a(sig, bits_of(a.dropped() ? 0.0 : a.demand().value()));
-    }
-
-    const bool cached_root_fail =
-        inc && consol_fail_root_[ci].valid &&
-        consol_fail_root_[ci].epoch == subtree_epoch_[root] &&
-        consol_fail_root_[ci].item_sig == sig;
-    if (cached_root_fail && !config_.shadow_diff) {
-      // Nothing anywhere in the tree changed since this candidate last
-      // failed to drain at fleet scope: it fails again.
-      ++reused;
-      ++n_cache_served;
-      continue;
-    }
-
-    // All-or-nothing: every hosted app (even dropped ones — a sleeping host
-    // cannot retain VMs) must find a berth, else the server stays up.  The
-    // item list lives in the candidate's plan slot (member scratch — no
-    // per-candidate allocation) and is reused verbatim from phase 1 when the
-    // scope epoch proves it unchanged.
-    ConsolPlan& plan = consol_plan_[k];
-    const NodeId local_scope = tree.node(s).parent();
-    const bool plan_fresh = plan.computed && plan.sig == sig &&
-                            local_scope != hier::kNoNode &&
-                            plan.scope_epoch == subtree_epoch_[local_scope];
-    if (!plan_fresh) {
-      plan.items.clear();
-      for (const auto& a : srv.apps()) {
-        plan.items.push_back({a.id(), s,
-                              (a.dropped() ? Watts{0.0} : a.demand()) +
-                                  config_.migration_cost,
-                              a.dropped() ? Watts{0.0} : a.demand(),
-                              MigrationCause::kConsolidation,
-                              obs::Reason::kConsolidation});
-      }
-    }
-    std::vector<PlanItem>& items = plan.items;
-    auto collect_targets = [&](NodeId scope) -> const std::vector<NodeId>& {
-      target_scratch_.clear();
-      const SubtreeSpan span = arena.subtree(scope);
-      for (std::uint32_t k = 0; k < span.size(); ++k) {
-        const NodeId t = arena.node_of(span[k]);
-        if (t == s) continue;
-        if (!tree.node(t).active()) continue;
-        if (!eligible_target(t, scope)) continue;
-        target_scratch_.push_back(t);
-      }
-      return target_scratch_;
-    };
-    // Fills bin_node_scratch_ as a side effect; consumed by the apply loop.
-    auto dry_run = [&](const std::vector<NodeId>& targets) {
-      bp_items_scratch_.clear();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        bp_items_scratch_.push_back({i, items[i].size.value(), 0});
-      }
-      bp_bins_scratch_.clear();
-      bin_node_scratch_.clear();
-      for (NodeId t : targets) {
-        const Watts cap = target_capacity(t);
-        if (cap.value() > kEps) {
-          bp_bins_scratch_.push_back(
-              {static_cast<std::uint64_t>(t), cap.value(), 0});
-          bin_node_scratch_.push_back(t);
-        }
-      }
-      return binpack::pack(bp_items_scratch_, bp_bins_scratch_,
-                           config_.packing);
-    };
-    // Fleet-scope fast path: reproduce pack(kFfdlr)'s verdict from the shared
-    // capacity index instead of rebuilding all fleet bins per candidate.  The
-    // virtual groups depend only on the items and cmax; each group then lands
-    // in the first unused index entry with capacity + eps >= content — the
-    // bin pack() would pick, because the index order equals pack()'s
-    // real-bin order.  Groups that fit no single unused bin spill into
-    // pack()'s final best-fit pass, replayed here over the index plus the
-    // residuals of already-touched bins, so every verdict is two-valued:
-    // true = placed-all (plan in fast_assign_scratch_, pack()'s emission
-    // order), false = pack() would leave something unplaced.
-    auto fast_root_pack = [&]() -> bool {
-      if (!consol_index_built_) build_consol_index();
-      double cmax = 0.0;
-      for (auto it = consol_cap_index_.rbegin(); it != consol_cap_index_.rend();
-           ++it) {
-        if (it->second != s) {
-          cmax = it->first;
-          break;
-        }
-      }
-      if (cmax <= 0.0) return false;  // no usable bin anywhere in the fleet
-      bp_items_scratch_.clear();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        bp_items_scratch_.push_back({i, items[i].size.value(), 0});
-      }
-      const binpack::VirtualGroups vg =
-          binpack::ffdlr_virtual_groups(bp_items_scratch_, cmax);
-      if (!vg.oversized.empty()) return false;  // unplaceable regardless
-      fast_assign_scratch_.clear();
-      // Bins this plan already used, as (node, residual) in touch order, and
-      // the items that fell out of whole-group placement.  Both are tiny
-      // (bounded by the candidate's app count), so linear membership scans
-      // beat any indexed structure.
-      auto& touched = fast_touched_scratch_;
-      touched.clear();
-      auto& leftovers = fast_leftover_scratch_;
-      leftovers.clear();
-      auto is_touched = [&](NodeId t) {
-        for (const auto& e : touched) {
-          if (e.first == t) return true;
-        }
-        return false;
-      };
-      for (const auto& g : vg.groups) {
-        // Start at the first entry that could pass capacity + eps >= content
-        // (the two boundary forms differ far below eps at watt magnitudes)
-        // and advance with pack()'s exact predicate.
-        auto it = consol_cap_index_.lower_bound(
-            std::pair<double, NodeId>{g.content - 2 * kEps, NodeId{0}});
-        NodeId chosen = hier::kNoNode;
-        double chosen_cap = 0.0;
-        for (; it != consol_cap_index_.end(); ++it) {
-          if (!binpack::fits(it->first, g.content)) continue;
-          if (it->second == s || is_touched(it->second)) continue;
-          chosen = it->second;
-          chosen_cap = it->first;
-          break;
-        }
-        if (chosen == hier::kNoNode) {
-          // No single unused bin holds the whole group; its items retry
-          // singly below, exactly as pack() spills them.
-          leftovers.insert(leftovers.end(), g.items.begin(), g.items.end());
-          continue;
-        }
-        double residual = chosen_cap;
-        for (const std::size_t item : g.items) {
-          fast_assign_scratch_.emplace_back(item, chosen);
-          // Sequential subtraction, like MutableBins::place — the running
-          // residual must match pack()'s bits, and float subtraction is not
-          // associative.
-          residual -= items[item].size.value();
-        }
-        touched.emplace_back(chosen, residual);
-      }
-      if (leftovers.empty()) return true;
-      // pack()'s final pass: leftovers re-sorted globally (size descending,
-      // input index ascending), each best-fit into the minimal feasible
-      // slack; ties go to the lowest bin input index, i.e. lowest NodeId.
-      std::stable_sort(leftovers.begin(), leftovers.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         if (items[a].size.value() != items[b].size.value()) {
-                           return items[a].size.value() > items[b].size.value();
-                         }
-                         return a < b;
-                       });
-      for (const std::size_t item : leftovers) {
-        const double size = items[item].size.value();
-        NodeId chosen = hier::kNoNode;
-        double best = std::numeric_limits<double>::infinity();
-        // Best untouched bin: capacity order makes slack monotone, so the
-        // first feasible entry minimizes it.  Entries whose slack rounds to
-        // the same double form a contiguous run (fl(x - size) is monotone in
-        // x); scan the run for the lowest NodeId, because pack()'s
-        // input-order scan keeps the first — lowest-NodeId — minimal bin.
-        auto it = consol_cap_index_.lower_bound(
-            std::pair<double, NodeId>{size - 2 * kEps, NodeId{0}});
-        for (; it != consol_cap_index_.end(); ++it) {
-          const double slack = it->first - size;  // pack()'s exact slack form
-          if (!(slack >= -kEps)) continue;
-          if (it->second == s || is_touched(it->second)) continue;
-          if (chosen == hier::kNoNode) {
-            best = slack;
-            chosen = it->second;
-          } else if (slack == best) {
-            if (it->second < chosen) chosen = it->second;
-          } else {
-            break;  // slack only grows from here
-          }
-        }
-        // Touched bins compete with their shrunken residuals under the same
-        // (slack, NodeId) minimization.
-        std::size_t chosen_touched = touched.size();
-        for (std::size_t ti = 0; ti < touched.size(); ++ti) {
-          const double slack = touched[ti].second - size;
-          if (!(slack >= -kEps)) continue;
-          if (slack < best || (slack == best && touched[ti].first < chosen)) {
-            best = slack;
-            chosen = touched[ti].first;
-            chosen_touched = ti;
-          }
-        }
-        if (chosen == hier::kNoNode) return false;  // fits nowhere: not all placed
-        fast_assign_scratch_.emplace_back(item, chosen);
-        if (chosen_touched < touched.size()) {
-          touched[chosen_touched].second -= size;
-        } else {
-          // First subtraction from an untouched bin is capacity - size,
-          // which is exactly the slack already computed.
-          touched.emplace_back(chosen, best);
-        }
-      }
-      return true;
-    };
-    // Dry-run one scope.  On every path the placement plan lands in
-    // fast_assign_scratch_ as (item, target) pairs in pack()'s assignment
-    // emission order, so the apply loop below has one shape.
-    auto run_scope = [&](NodeId scope) -> bool {
-      if (inc && scope == root) {
-        const bool verdict = fast_root_pack();
-        ++n_batched;
-        if (config_.shadow_diff) {
-          const auto full = dry_run(collect_targets(root));
-          bool mismatch = full.all_placed() != verdict;
-          if (!mismatch && verdict) {
-            mismatch = full.assignments.size() != fast_assign_scratch_.size();
-            for (std::size_t j = 0;
-                 !mismatch && j < fast_assign_scratch_.size(); ++j) {
-              mismatch =
-                  full.assignments[j].item != fast_assign_scratch_[j].first ||
-                  bin_node_scratch_[full.assignments[j].bin] !=
-                      fast_assign_scratch_[j].second;
-            }
-            if (!mismatch) {
-              // The full result drives the apply loop below in shadow mode;
-              // keep the two plans interchangeable bit for bit.
-              fast_assign_scratch_.clear();
-              for (const auto& a : full.assignments) {
-                fast_assign_scratch_.emplace_back(a.item,
-                                                  bin_node_scratch_[a.bin]);
-              }
-            }
-          }
-          count_shadow_check(mismatch);
-          if (mismatch) {
-            throw std::logic_error(
-                "Controller shadow diff: consolidation fast path diverged "
-                "for server " +
-                std::to_string(s));
-          }
-        }
-        return verdict;
-      }
-      const auto result = dry_run(collect_targets(scope));
-      fast_assign_scratch_.clear();
-      for (const auto& a : result.assignments) {
-        fast_assign_scratch_.emplace_back(a.item, bin_node_scratch_[a.bin]);
-      }
-      return result.all_placed();
-    };
-
-    NodeId scope = config_.prefer_local ? local_scope : root;
-    bool placed_all = false;
-    if (inc && scope != root && consol_fail_local_[ci].valid &&
-        consol_fail_local_[ci].epoch == subtree_epoch_[scope] &&
-        consol_fail_local_[ci].item_sig == sig) {
-      // Known local failure at this scope epoch: go straight to fleet scope.
-      ++reused;
-      if (config_.shadow_diff) {
-        const auto check = dry_run(collect_targets(scope));
-        count_shadow_check(check.all_placed());
-        if (check.all_placed()) {
-          throw std::logic_error(
-              "Controller shadow diff: cached local consolidation failure for "
-              "server " +
-              std::to_string(s) + " now succeeds");
-        }
-      }
-      scope = root;
-      placed_all = run_scope(scope);
-    } else {
-      if (plan_fresh && scope != root) {
-        // Phase-1 verdict still valid: nothing under the scope moved since
-        // the precompute, so a serial dry run would reproduce it bitwise.
-        placed_all = plan.placed_all;
-        fast_assign_scratch_.assign(plan.assign.begin(), plan.assign.end());
+  if (leftovers.empty()) return true;
+  // pack()'s final pass: leftovers re-sorted globally (size descending,
+  // input index ascending), each best-fit into the minimal feasible
+  // slack; ties go to the lowest bin input index, i.e. lowest NodeId.
+  std::stable_sort(leftovers.begin(), leftovers.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     if (items[a].size.value() != items[b].size.value()) {
+                       return items[a].size.value() > items[b].size.value();
+                     }
+                     return a < b;
+                   });
+  for (const std::size_t item : leftovers) {
+    const double size = items[item].size.value();
+    NodeId chosen = hier::kNoNode;
+    double best = std::numeric_limits<double>::infinity();
+    // Best untouched bin: capacity order makes slack monotone, so the
+    // first feasible entry minimizes it.  Entries whose slack rounds to
+    // the same double form a contiguous run (fl(x - size) is monotone in
+    // x); scan the run for the lowest NodeId, because pack()'s
+    // input-order scan keeps the first — lowest-NodeId — minimal bin.
+    auto it = consol_cap_index_.lower_bound(
+        std::pair<double, NodeId>{size - 2 * kEps, NodeId{0}});
+    for (; it != consol_cap_index_.end(); ++it) {
+      const double slack = it->first - size;  // pack()'s exact slack form
+      if (!(slack >= -kEps)) continue;
+      if (it->second == candidate || is_touched(it->second)) continue;
+      if (chosen == hier::kNoNode) {
+        best = slack;
+        chosen = it->second;
+      } else if (slack == best) {
+        if (it->second < chosen) chosen = it->second;
       } else {
-        placed_all = run_scope(scope);
-      }
-      if (!placed_all && config_.prefer_local && scope != root) {
-        consol_fail_local_[ci] = {subtree_epoch_[scope], sig, true};
-        scope = root;
-        placed_all = run_scope(scope);
+        break;  // slack only grows from here
       }
     }
-    if (!placed_all) {
-      if (scope == root) {
-        consol_fail_root_[ci] = {subtree_epoch_[root], sig, true};
-      } else {
-        consol_fail_local_[ci] = {subtree_epoch_[scope], sig, true};
+    // Touched bins compete with their shrunken residuals under the same
+    // (slack, NodeId) minimization.
+    std::size_t chosen_touched = touched.size();
+    for (std::size_t ti = 0; ti < touched.size(); ++ti) {
+      const double slack = touched[ti].second - size;
+      if (!(slack >= -kEps)) continue;
+      if (slack < best || (slack == best && touched[ti].first < chosen)) {
+        best = slack;
+        chosen = touched[ti].first;
+        chosen_touched = ti;
       }
-      if (cached_root_fail) count_shadow_check(false);  // verdict held
-      continue;
     }
-    if (cached_root_fail) {
-      // Shadow mode re-ran a cached fleet-scope failure and it placed.
-      count_shadow_check(true);
-      throw std::logic_error(
-          "Controller shadow diff: cached root consolidation failure for "
-          "server " +
-          std::to_string(s) + " now succeeds");
-    }
-    for (const auto& [item_idx, tgt] : fast_assign_scratch_) {
-      apply_migration(items[item_idx], tgt);
-      consol_index_update(tgt);  // capacity shrank; no-op if index not built
-    }
-    ++n_drained;
-    if (srv.apps().empty()) {
-      put_to_sleep(s);
-      WILLOW_INFO() << "consolidated server " << s << " to sleep";
+    if (chosen == hier::kNoNode) return false;  // fits nowhere: not all placed
+    fast_assign_scratch_.emplace_back(item, chosen);
+    if (chosen_touched < touched.size()) {
+      touched[chosen_touched].second -= size;
     } else {
-      // Latency mode: the VMs are still transferring; the server sleeps at a
-      // later ΔA once it is empty (the in-flight guard keeps it untouched
-      // until then).
-      WILLOW_INFO() << "consolidation of server " << s
-                    << " deferred until transfers land";
+      // First subtraction from an untouched bin is capacity - size,
+      // which is exactly the slack already computed.
+      touched.emplace_back(chosen, best);
     }
   }
-  if (c_packings_reused_ != nullptr && reused > 0) {
-    c_packings_reused_->increment(reused);
-  }
-  if (c_consol_candidates_ != nullptr) {
-    c_consol_candidates_->increment(n_candidates);
-    c_consol_drained_->increment(n_drained);
-    c_consol_cache_served_->increment(n_cache_served);
-    c_consol_batched_->increment(n_batched);
-    c_index_point_updates_->increment(index_updates);
-  }
+  return true;
 }
 
 void Controller::revive_dropped() {

@@ -137,11 +137,11 @@ struct ControllerConfig {
   double degraded_service_level = 0.5;
   /// Incremental (change-driven) control plane: re-aggregate, re-divide and
   /// re-pack only where inputs changed bitwise since the previous decision —
-  /// dirty report paths, memoized subtree divisions, epoch-stamped
-  /// consolidation candidates and cached packing failures.  Semantically
-  /// identical to the full recompute (same budgets, same migrations, same
-  /// event trace); `shadow_diff` asserts that.  Disable to benchmark the full
-  /// walk or to rule the machinery out while debugging.
+  /// dirty report paths, memoized subtree divisions and cached fleet-scope
+  /// consolidation failures.  Semantically identical to the full recompute
+  /// (same budgets, same migrations, same event trace); `shadow_diff`
+  /// asserts that.  Disable to benchmark the full walk or to rule the
+  /// machinery out while debugging.
   bool incremental = true;
   /// Dead-band (W) on demand reports: a node re-reports to its parent only
   /// when its smoothed demand moved more than this since its last report.
@@ -298,10 +298,8 @@ class Controller {
   void note_external_change(NodeId node);
 
   /// Tell the controller a server's availability flipped (crash or restore).
-  /// Re-dirties the incremental plane exactly like the sleep/wake paths:
-  /// the parent's aggregation, hard-limit roll-up and division must re-run,
-  /// and the node's own report path is marked pending.  Safe in both walk
-  /// modes.
+  /// Re-dirties the incremental plane exactly like the sleep/wake paths
+  /// (see note_active_flip).  Safe in both walk modes.
   void note_availability_change(NodeId node);
 
   /// Attach a worker pool (not owned; may be null).  Used to shard the
@@ -331,6 +329,9 @@ class Controller {
   };
 
   void supply_adaptation(Watts available_supply);
+  /// Divide `id`'s budget among its children (Sec. IV-D) from their current
+  /// demands and capacities, into alloc_result_.
+  const AllocationResult& divide(NodeId id);
   /// Leaf sweep (skipped while leaf_limits_current_), then the internal
   /// roll-up over dirty nodes.
   void update_hard_limits();
@@ -342,9 +343,60 @@ class Controller {
   /// event (marks the node budget-reduced), which is what drives workload
   /// out of hot zones between supply periods.
   void enforce_thermal_limits();
+  /// Clamp a server's budget down to `cap` (a tightening: the node is marked
+  /// budget-reduced and its parent's division dirty), emitting `type`.
+  /// Returns false, doing nothing, when the budget is already within cap.
+  bool clamp_budget(NodeId server, Watts cap, obs::EventType type,
+                    obs::Reason reason);
   void demand_adaptation();
   void consolidate();
   void revive_dropped();
+
+  // ---- consolidation stages (consolidate() runs them in this order) --------
+
+  /// Judge every server against the threshold and fill consol_order_ with
+  /// the candidates in drain order.
+  void judge_consol_candidates();
+  /// Phase 1: local-scope dry runs on the worker pool, into consol_plan_.
+  void precompute_local_plans();
+  /// Phase 2, one candidate: drain the consol_order_[k] server if all its
+  /// apps find a berth (locally first, then fleet-wide), and sleep it.
+  void drain_candidate(std::size_t k);
+
+  /// The candidate must be left alone this pass: it received a migration
+  /// this tick, or transfers into or out of it are still in flight.
+  [[nodiscard]] bool drain_blocked(std::uint32_t server_index) const;
+  /// Fill `items` with the server's drain plan — every hosted app, dropped
+  /// ones at zero demand — and return the plan's signature.
+  std::uint64_t consol_items(std::uint32_t server_index,
+                             std::vector<PlanItem>& items) const;
+  /// The root failure cache proves this plan cannot drain at fleet scope:
+  /// it failed there with the same signature and nothing in the tree has
+  /// changed since.
+  [[nodiscard]] bool root_fail_cached(std::uint32_t server_index,
+                                      std::uint64_t sig) const;
+  /// Dry-run `items` at `scope` without applying anything; the plan lands in
+  /// fast_assign_scratch_ as (item, target) pairs in the packer's emission
+  /// order.  Returns whether every item was placed.
+  bool run_scope(NodeId candidate, const std::vector<PlanItem>& items,
+                 NodeId scope);
+  /// Full collect-and-pack dry run at `scope` in the member scratch
+  /// (bin_node_scratch_ maps the result's bins).
+  binpack::PackResult dry_run(NodeId candidate,
+                              const std::vector<PlanItem>& items,
+                              NodeId scope);
+  /// Fleet-scope verdict from the capacity index, bitwise equal to
+  /// dry_run(candidate, items, root) (see consol_cap_index_).
+  bool fast_root_pack(NodeId candidate, const std::vector<PlanItem>& items);
+  void shadow_check_fast_root_pack(NodeId candidate,
+                                   const std::vector<PlanItem>& items,
+                                   bool verdict);
+  void build_consol_index();
+  /// Point updates after a target's capacity moved or it went to sleep
+  /// (no-ops until the index is built in this pass).
+  void consol_index_erase(NodeId target);
+  void consol_index_update(NodeId target);
+  void put_to_sleep(NodeId server);
 
   // ---- degraded mode (fault handling; docs/fault_model.md) ----------------
 
@@ -358,9 +410,12 @@ class Controller {
   /// of enforce_thermal_limits, with identical dirtying mechanics.
   void apply_fallback_budgets();
   /// Apply one directive to `id` with full bookkeeping (event, tree
-  /// accounting, dirty marks, budget_reduced on decrease).  Shared by the
-  /// normal supply pass and the retry queue.
-  void deliver_directive(NodeId id, Watts budget);
+  /// accounting, dirty marks, budget_reduced on decrease); a `duplicate`
+  /// message is accounted and traced twice.  Shared by the normal supply
+  /// pass and the retry queue.
+  void deliver_directive(NodeId id, Watts budget, bool duplicate = false);
+  /// Count and trace a directive to `id` lost on its down-link.
+  void record_directive_loss(NodeId id, Watts budget);
   /// A directive to `id` was lost; remember it for bounded-backoff retry and
   /// keep the dividing parent dirty so supply passes re-derive it.
   void queue_directive_retry(NodeId id, Watts budget);
@@ -377,13 +432,31 @@ class Controller {
   /// pass's clear.
   void mark_budget_reduced(NodeId node);
 
+  /// A server's active flag flipped (sleep, wake, crash, restart): the
+  /// parent's hard-limit roll-up and division must re-run, and the server's
+  /// report path is marked pending.
+  void note_active_flip(NodeId node);
+
   /// Target eligibility under the unidirectional rule within `scope`.
   [[nodiscard]] bool eligible_target(NodeId target_server, NodeId scope) const;
 
   /// Pack `items` into the surpluses of `targets` and apply the resulting
   /// migrations.  Returns the item indices that could not be placed.
-  std::vector<std::size_t> pack_and_apply(std::vector<PlanItem>& items,
+  std::vector<std::size_t> pack_and_apply(const std::vector<PlanItem>& items,
                                           const std::vector<NodeId>& targets);
+
+  /// Packer items for `items`, keyed by position.
+  static void to_pack_items(const std::vector<PlanItem>& items,
+                            std::vector<binpack::Item>& out);
+  /// Packer bins for the `targets` with spare capacity above eps, plus the
+  /// bin -> node map, in target order.
+  void make_bins(const std::vector<NodeId>& targets,
+                 std::vector<binpack::Bin>& bins,
+                 std::vector<NodeId>& bin_nodes) const;
+  /// Active servers under `scope` (subtree span order) other than `exclude`
+  /// that the unidirectional rule admits as targets within `scope`.
+  void collect_targets(NodeId scope, NodeId exclude,
+                       std::vector<NodeId>& out) const;
 
   void apply_migration(const PlanItem& item, NodeId target);
 
@@ -404,7 +477,7 @@ class Controller {
   // ---- incremental (change-driven) machinery -------------------------------
   // Shared invariant of every cache below: it is keyed on state that, when it
   // changes bitwise, provably marks the cache dirty (a report, a budget
-  // directive, a thermal version bump, an epoch stamp).  A cache hit therefore
+  // directive, an active-flag flip, an epoch stamp).  A cache hit therefore
   // reproduces the full recomputation bit for bit; shadow_diff re-derives each
   // hit and throws on divergence.
 
@@ -414,13 +487,10 @@ class Controller {
   void touch(NodeId node);
 
   /// min(circuit rating, thermal power limit over one demand period) for the
-  /// server at `server_index`, cached on the server's thermal state version
-  /// (the only moving input).  Shared by update_hard_limits and
-  /// enforce_thermal_limits so both clamp to identical bits, and valid in
-  /// both walk modes (it memoizes a pure function).
-  [[nodiscard]] Watts leaf_limit(std::size_t server_index);
-  /// The uncached value leaf_limit() memoizes (shadow_diff re-derives with it).
-  [[nodiscard]] Watts compute_leaf_limit(std::size_t server_index) const;
+  /// server at `server_index`, as the controller senses it.  Shared by
+  /// update_hard_limits and enforce_thermal_limits so both clamp to
+  /// identical bits.
+  [[nodiscard]] Watts leaf_limit(std::size_t server_index) const;
 
   /// Shadow-diff helpers: re-derive a skipped decision from scratch and throw
   /// std::logic_error on any bitwise mismatch.
@@ -440,66 +510,45 @@ class Controller {
   /// Internal nodes whose hard-limit roll-up must re-run (a descendant's
   /// leaf limit or active flag moved).
   std::vector<char> limit_dirty_;  ///< by NodeId
-  /// leaf_limit() memo, keyed on the thermal state version and (for
-  /// fault-injected runs) the server's sensor version.
-  std::vector<double> cached_leaf_limit_;             ///< by NodeId
-  std::vector<std::uint64_t> cached_limit_version_;   ///< by NodeId
-  std::vector<std::uint64_t> cached_sensor_version_;  ///< by server index
   /// Every leaf's hard limit equals leaf_limit() as of this tick, so
   /// update_hard_limits may skip the fleet-wide leaf sweep.  A leaf limit
-  /// moves only with the thermal state version, the sensor version and the
-  /// circuit rating, and none of them changes inside tick(): set by the first
+  /// moves only with the thermal state, the sensor overrides and the circuit
+  /// rating, and none of them changes inside tick(): set by the first
   /// sweep of a tick, cleared when the next tick (or a forced supply pass)
   /// begins.
   bool leaf_limits_current_ = false;
 
-  /// Consolidation-candidate index: one entry per server, refreshed only when
-  /// the server's subtree epoch moved (or the fleet envelope shifted), plus
-  /// the utilization-ordered candidate list reused verbatim across ΔA passes
-  /// while no entry changed.
-  struct ConsolEntry {
-    bool eligible = false;
+  /// This ΔA pass's consolidation candidates in drain order, rebuilt by
+  /// judge_consol_candidates() on every pass.
+  struct ConsolCandidate {
+    std::uint32_t server = 0;  ///< server index
     double utilization = 0.0;
     double envelope = 0.0;  ///< server's own sustainable dynamic power
   };
-  std::vector<ConsolEntry> consol_entry_;             ///< by server index
-  std::vector<std::uint64_t> consol_entry_epoch_;     ///< by server index
-  std::vector<double> server_envelope_;               ///< by server index
-  std::vector<std::uint64_t> server_envelope_version_;///< by server index
-  double cached_fleet_envelope_ =
-      -1.0;  ///< impossible (envelopes are >= 0) => first pass recomputes
-  std::vector<std::uint32_t> consol_order_;  ///< sorted candidate indices
-  bool consol_order_valid_ = false;
-  /// Cached dry-run failures: "this candidate could not be fully drained at
-  /// this scope while the scope's state was at this epoch (with these items)".
-  /// Valid on every pass, including while migrations are in flight: the
-  /// transient absorbed/reserved watts a dry run reads are epoch-stamped at
-  /// every mutation (migration start, landing, release) *and* at their
-  /// per-tick reset (tick() touches the previous tick's targets before
-  /// zeroing absorbed_w_), so an unchanged scope epoch proves the verdict's
-  /// inputs are bitwise unchanged.
+  std::vector<ConsolCandidate> consol_order_;
+  /// Cached fleet-scope dry-run failures: "this candidate could not be fully
+  /// drained anywhere while the root's subtree was at this epoch (with these
+  /// items)".  Valid on every pass, including while migrations are in
+  /// flight: the transient absorbed/reserved watts a dry run reads are
+  /// epoch-stamped at every mutation (migration start, landing, release)
+  /// *and* at their per-tick reset (tick() touches the previous tick's
+  /// targets before zeroing absorbed_w_), so an unchanged root epoch proves
+  /// the verdict's inputs are bitwise unchanged.
   struct ConsolFail {
     std::uint64_t epoch = 0;
     std::uint64_t item_sig = 0;
     bool valid = false;
   };
-  std::vector<ConsolFail> consol_fail_local_;  ///< by server index
-  std::vector<ConsolFail> consol_fail_root_;   ///< by server index
+  std::vector<ConsolFail> consol_fail_root_;  ///< by server index
 
-  /// Single-entry pack_and_apply memo for the all-unplaced case: when the
-  /// same items meet the same bins as last time and nothing was placed then,
-  /// nothing will be placed now (FFDLR is deterministic), so the pack call is
-  /// skipped.  Only no-assignment results are reusable — an applied
-  /// assignment mutates the very state the fingerprint hashes.
-  struct PackMemo {
-    std::uint64_t items_sig = 0;
-    std::uint64_t bins_sig = 0;
-    std::size_t item_count = 0;
-    /// The unplaced-index order the packer produced (item order matters to
-    /// later escalation passes, so the memo must reproduce it exactly).
-    std::vector<std::size_t> unplaced;
-    bool valid = false;
-  } pack_memo_;
+  /// This ΔA pass's tallies for the consolidation counters below.
+  struct ConsolTally {
+    std::uint64_t candidates = 0;
+    std::uint64_t drained = 0;
+    std::uint64_t cache_served = 0;
+    std::uint64_t batched = 0;
+    std::uint64_t index_updates = 0;
+  } consol_tally_;
 
   /// Division scratch (child demand/capacity vectors, allocator working
   /// storage and output, reused per node).
@@ -512,6 +561,8 @@ class Controller {
   /// hash probe each; the skip paths fire per node per tick).
   obs::Counter* c_budget_directives_ = nullptr;
   obs::Counter* c_divisions_memoized_ = nullptr;
+  /// Candidates served whole by the root failure cache (equal to
+  /// control.consol_cache_served; tickbench's binpack.reuse_ratio reads it).
   obs::Counter* c_packings_reused_ = nullptr;
   obs::Counter* c_shadow_checks_ = nullptr;
   obs::Counter* c_shadow_mismatches_ = nullptr;
@@ -603,11 +654,9 @@ class Controller {
   /// groups" demand adaptation plans over).
   std::vector<NodeId> group_parents_;
   std::vector<char> is_group_parent_;  ///< by NodeId
-  /// Direct server children per node, in child order.
+  /// Direct server children per node, in child order.  (Per-node server
+  /// descendants are the arena's subtree spans.)
   std::vector<std::vector<NodeId>> server_children_;
-  // (Per-node server-descendant lists moved into the cluster's ServerArena:
-  // subtree spans over creation order — same membership, same iteration
-  // order as the old `subtree_servers_` vectors, O(1) storage per node.)
 
   /// Packing scratch reused across pack_and_apply / dry-run calls (cleared
   /// per use; sized once the fleet's steady-state planning width is seen).
@@ -621,14 +670,15 @@ class Controller {
   std::vector<std::pair<double, NodeId>> sleeper_heap_;
 
   /// Consolidation fleet-scope fast path (valid only within one
-  /// consolidate() call; see consolidate()).  The capacity index holds every
-  /// (active, root-eligible, capacity > eps) server except none — candidates
-  /// skip themselves at pack time — ordered by (capacity, NodeId), which is
-  /// exactly FFDLR's real-bin order when bins are enumerated in creation
-  /// order.  An ordered set rather than a sorted vector: the batched drain
-  /// point-updates the index after every applied migration and sleep, and
-  /// under churn those point deltas number in the thousands per pass —
-  /// O(log fleet) node surgery instead of O(fleet) vector memmoves.
+  /// consolidate() call; see build_consol_index()).  The capacity index
+  /// holds every (active, root-eligible, capacity > eps) server except none
+  /// — candidates skip themselves at pack time — ordered by (capacity,
+  /// NodeId), which is exactly FFDLR's real-bin order when bins are
+  /// enumerated in creation order.  An ordered set rather than a sorted
+  /// vector: the batched drain point-updates the index after every applied
+  /// migration and sleep, and under churn those point deltas number in the
+  /// thousands per pass — O(log fleet) node surgery instead of O(fleet)
+  /// vector memmoves.
   /// `consol_cap_of_` remembers each slot's indexed key so point updates can
   /// erase it after a migration changes the capacity.
   std::set<std::pair<double, NodeId>> consol_cap_index_;

@@ -1,6 +1,8 @@
 #include "sim/scenario_io.h"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -24,6 +26,11 @@ double parse_double(const std::string& text, int line) {
     std::size_t used = 0;
     const double v = std::stod(text, &used);
     if (used != text.size()) fail(line, "trailing junk in number '" + text + "'");
+    // No key takes an infinite or NaN value, and NaN slips past every
+    // ordered range check downstream.
+    if (!std::isfinite(v)) {
+      fail(line, "expected a finite number, got '" + text + "'");
+    }
     return v;
   } catch (const std::logic_error&) {
     fail(line, "expected a number, got '" + text + "'");
@@ -32,6 +39,12 @@ double parse_double(const std::string& text, int line) {
 
 long parse_long(const std::string& text, int line) {
   const double v = parse_double(text, line);
+  // Range first: converting a double outside long's range is undefined.
+  constexpr double kLongMin =
+      static_cast<double>(std::numeric_limits<long>::min());  // -2^63, exact
+  if (!(v >= kLongMin && v < -kLongMin)) {
+    fail(line, "integer out of range: '" + text + "'");
+  }
   const long l = static_cast<long>(v);
   if (static_cast<double>(l) != v) fail(line, "expected an integer, got '" + text + "'");
   return l;

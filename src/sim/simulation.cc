@@ -40,33 +40,34 @@ std::vector<std::string> SimConfig::validate() const {
       datacenter.smoothing_alpha > 1.0) {
     errors.push_back("datacenter.smoothing_alpha: must be in (0,1]");
   }
-  if (demand_quantum.value() < 0.0) {
-    errors.push_back("demand_quantum: negative wattage");
+  // Range checks are written negated (!(x >= 0)) so that NaN fails them.
+  if (!(demand_quantum.value() >= 0.0)) {
+    errors.push_back("demand_quantum: must be a wattage >= 0");
   }
-  if (mix.unit_power.value() < 0.0) {
-    errors.push_back("mix.unit_power: negative wattage");
+  if (!(mix.unit_power.value() >= 0.0)) {
+    errors.push_back("mix.unit_power: must be a wattage >= 0");
   }
   if (!(target_utilization > 0.0)) {
     errors.push_back("target_utilization: must be > 0");
   }
-  if (rack_circuit_limit && rack_circuit_limit->value() < 0.0) {
-    errors.push_back("rack_circuit_limit: negative wattage");
+  if (rack_circuit_limit && !(rack_circuit_limit->value() >= 0.0)) {
+    errors.push_back("rack_circuit_limit: must be a wattage >= 0");
   }
   if (ups && !supply) {
     errors.push_back(
         "ups: a UPS buffers a supply profile; set `supply` too (with "
         "unconstrained supply the battery never does anything)");
   }
-  if (ipc_chain_fraction < 0.0 || ipc_chain_fraction > 1.0) {
+  if (!(ipc_chain_fraction >= 0.0 && ipc_chain_fraction <= 1.0)) {
     errors.push_back("ipc_chain_fraction: must be in [0,1]");
   }
-  if (report_loss_probability < 0.0 || report_loss_probability > 1.0) {
+  if (!(report_loss_probability >= 0.0 && report_loss_probability <= 1.0)) {
     errors.push_back("report_loss_probability: must be in [0,1]");
   }
-  if (churn_probability < 0.0 || churn_probability > 1.0) {
+  if (!(churn_probability >= 0.0 && churn_probability <= 1.0)) {
     errors.push_back("churn_probability: must be in [0,1]");
   }
-  if (sla_inflation < 0.0) {
+  if (!(sla_inflation >= 0.0)) {
     errors.push_back("sla_inflation: must be >= 0 (0 disables QoS tracking)");
   }
   if (warmup_ticks < 0) {

@@ -22,9 +22,7 @@ ThermalModel::ThermalModel(ThermalParams params, Celsius initial)
 }
 
 void ThermalModel::step(Watts p, Seconds dt) {
-  const Celsius next = predict(p, dt);
-  if (next.value() != temperature_.value()) ++state_version_;
-  temperature_ = next;
+  temperature_ = predict(p, dt);
 }
 
 double ThermalModel::decay_for(double dt) const {

@@ -17,8 +17,6 @@
 // abstract adjustment windows).
 #pragma once
 
-#include <cstdint>
-
 #include "util/units.h"
 
 namespace willow::thermal {
@@ -44,6 +42,10 @@ struct ThermalParams {
 ///
 /// All evolution uses the exact solution for piecewise-constant power, so a
 /// single step over [0, t] equals any subdivision of it (tested property).
+/// The derived limits (power_limit, steady_state_power_limit) are pure
+/// functions of the parameters and the current temperature and cost a few
+/// flops (the only transcendental is memoized in decay_for), so callers
+/// recompute them on every use instead of caching them against a version.
 class ThermalModel {
  public:
   explicit ThermalModel(ThermalParams params);
@@ -53,24 +55,10 @@ class ThermalModel {
   [[nodiscard]] Celsius temperature() const { return temperature_; }
 
   /// Reset to a given temperature (e.g. after relocation or at scenario start).
-  void set_temperature(Celsius t) {
-    if (t.value() != temperature_.value()) ++state_version_;
-    temperature_ = t;
-  }
+  void set_temperature(Celsius t) { temperature_ = t; }
 
   /// Change the ambient temperature (hot/cold zone scenarios, Sec. V-B3).
-  void set_ambient(Celsius ta) {
-    if (ta.value() != params_.ambient.value()) ++state_version_;
-    params_.ambient = ta;
-  }
-
-  /// Monotone counter bumped whenever state feeding power_limit() /
-  /// steady_state_power_limit() changes bitwise (temperature evolution,
-  /// ambient or temperature overrides).  Callers cache derived limits keyed
-  /// on this and refresh only when the thermal state actually moved; once the
-  /// temperature reaches its fixed point under constant power, the version
-  /// stops advancing.
-  [[nodiscard]] std::uint64_t state_version() const { return state_version_; }
+  void set_ambient(Celsius ta) { params_.ambient = ta; }
 
   /// Advance by dt under constant power draw p (exact, Eq. 2).
   void step(Watts p, Seconds dt);
@@ -106,7 +94,6 @@ class ThermalModel {
 
   ThermalParams params_;
   Celsius temperature_;
-  std::uint64_t state_version_ = 0;
   mutable double cached_decay_dt_ = -1.0;  ///< invalid: dt must be >= 0
   mutable double cached_decay_ = 1.0;
 };

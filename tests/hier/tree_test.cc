@@ -79,7 +79,9 @@ TEST(Tree, BottomUpVisitsChildrenBeforeParents) {
   for (std::size_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
   for (NodeId id : f.tree.all_nodes()) {
     const auto& n = f.tree.node(id);
-    if (!n.is_root()) EXPECT_LT(pos[id], pos[n.parent()]);
+    if (!n.is_root()) {
+      EXPECT_LT(pos[id], pos[n.parent()]);
+    }
   }
 }
 
@@ -90,7 +92,9 @@ TEST(Tree, TopDownVisitsParentsBeforeChildren) {
   for (std::size_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
   for (NodeId id : f.tree.all_nodes()) {
     const auto& n = f.tree.node(id);
-    if (!n.is_root()) EXPECT_GT(pos[id], pos[n.parent()]);
+    if (!n.is_root()) {
+      EXPECT_GT(pos[id], pos[n.parent()]);
+    }
   }
 }
 

@@ -48,7 +48,9 @@ TEST(Scale, TwoHundredServersRunClean) {
   for (auto s : cluster.server_ids()) {
     const auto& srv = cluster.server(s);
     hosted += srv.apps().size();
-    if (srv.asleep()) EXPECT_TRUE(srv.apps().empty());
+    if (srv.asleep()) {
+      EXPECT_TRUE(srv.apps().empty());
+    }
   }
   EXPECT_GT(hosted, 0u);
   for (auto id : tree.all_nodes()) {

@@ -144,6 +144,18 @@ TEST(ShadowDiff, MigrationsPermanentlyInFlightScenario) {
   EXPECT_GT(m.counter_or_zero("control.index_point_updates"), 0u);
 }
 
+TEST(ShadowDiff, NonFfdlrPackerScenario) {
+  // The fleet-scope capacity index replays FFDLR only; under any other
+  // packer a fleet-scope consolidation dry run must take the full pack.
+  auto cfg = base_config(0.4, 8);
+  cfg.churn_probability = 0.1;
+  cfg.controller.packing = binpack::Algorithm::kFirstFitDecreasing;
+  cfg.controller.prefer_local = false;  // every dry run is fleet-scope
+  expect_modes_equivalent(cfg);
+  const TracedRun inc = traced_run(cfg, /*incremental=*/true, 1);
+  EXPECT_GT(inc.result.controller_stats.consolidation_migrations, 0u);
+}
+
 /// Largest number of wake events the trace carries for a single tick.
 std::size_t max_wakes_in_one_tick(const std::string& trace) {
   std::map<long long, std::size_t> per_tick;
@@ -175,6 +187,57 @@ TEST(ShadowDiff, MultiBatchWakeScenario) {
   const TracedRun inc = traced_run(cfg, /*incremental=*/true, 1);
   EXPECT_GE(max_wakes_in_one_tick(inc.trace), 2u)
       << "no tick ran a second wake batch";
+}
+
+TEST(ShadowDiff, SettledFleetServesConsolidationFromRootCache) {
+  // The root failure cache is the one consolidation cache that pays: on a
+  // settled fleet (constant demand, no churn, thermal plant at its fixed
+  // point) every candidate already failed to drain fleet-wide and nothing
+  // has moved since, so each one is served from the cache without packing.
+  // Counters are cumulative, so the measured window is the difference
+  // between a run and the same run extended by kWindow ticks.
+  auto cfg = base_config(0.5, 31);
+  cfg.datacenter.layout = {4, 5, 20};
+  cfg.demand_quantum = 0_W;
+  cfg.warmup_ticks = 720;  // the thermal plant's bitwise fixed point
+  cfg.measure_ticks = 1;
+  constexpr long kWindow = 70;  // ten consolidation passes (eta2 = 7)
+  auto run = [](SimConfig c, long extra, bool shadow, std::size_t threads) {
+    c.measure_ticks += extra;
+    c.shadow_diff = shadow;
+    c.threads = threads;
+    std::ostringstream os;
+    c.sinks.push_back(std::make_shared<obs::JsonlTraceSink>(os));
+    auto result = run_simulation(std::move(c));
+    return TracedRun{os.str(), std::move(result)};
+  };
+  const TracedRun before = run(cfg, 0, false, 1);
+  const TracedRun after = run(cfg, kWindow, false, 1);
+  ASSERT_EQ(after.trace.compare(0, before.trace.size(), before.trace), 0)
+      << "the extended run does not replay the shorter one";
+  auto window = [&](const char* name) {
+    return after.result.metrics.counter_or_zero(name) -
+           before.result.metrics.counter_or_zero(name);
+  };
+  const auto candidates = window("control.consol_candidates");
+  EXPECT_GT(candidates, 0u);
+  EXPECT_EQ(window("control.consol_cache_served"), candidates);
+  EXPECT_EQ(window("control.packings_reused"), candidates);
+  EXPECT_EQ(window("controller.pack_calls"), 0u);
+
+  // Same scenario, every cache hit re-derived under shadow mode.
+  const TracedRun shadow = run(cfg, kWindow, true, 1);
+  EXPECT_EQ(shadow.trace, after.trace);
+  EXPECT_GT(shadow.result.metrics.counter_or_zero("control.shadow_checks"),
+            0u);
+  EXPECT_EQ(
+      shadow.result.metrics.counter_or_zero("control.shadow_mismatches"), 0u);
+
+  // Phase 1 of the parallel drain skips root-cached candidates; the trace
+  // must not depend on whether a plan was precomputed.
+  const TracedRun threaded = run(cfg, kWindow, false, 4);
+  EXPECT_EQ(threaded.trace, after.trace)
+      << "settled-fleet trace depends on the thread count";
 }
 
 TEST(ShadowDiff, SkipCountersReconcileWithTrace) {

@@ -68,7 +68,9 @@ TEST_P(SoakTest, ThreeDaysAllFeaturesAllInvariants) {
   std::multiset<workload::AppId> hosted;
   for (auto s : cluster.server_ids()) {
     const auto& srv = cluster.server(s);
-    if (srv.asleep()) EXPECT_TRUE(srv.apps().empty());
+    if (srv.asleep()) {
+      EXPECT_TRUE(srv.apps().empty());
+    }
     for (const auto& a : srv.apps()) {
       hosted.insert(a.id());
       EXPECT_GE(a.service_level(), 0.5 - 1e-9);  // configured floor

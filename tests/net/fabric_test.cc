@@ -54,7 +54,7 @@ TEST(Fabric, MirrorsInternalNodes) {
   Fabric fabric(f.tree, f.config());
   // 1 root + 2 zones + 4 racks have switch groups; servers do not.
   EXPECT_EQ(fabric.groups().size(), 7u);
-  EXPECT_THROW(fabric.stats(f.servers[0]), std::out_of_range);
+  EXPECT_THROW((void)fabric.stats(f.servers[0]), std::out_of_range);
 }
 
 TEST(Fabric, Level1GroupsAreRacks) {

@@ -39,7 +39,8 @@ TEST(CoolingModel, CoolingPowerArithmetic) {
   cfg.fan_floor = 20_W;
   CoolingModel m(cfg);
   EXPECT_NEAR(m.cooling_power(350_W, 25_degC).value(), 20.0 + 100.0, 1e-9);
-  EXPECT_THROW(m.cooling_power(Watts{-1.0}, 25_degC), std::invalid_argument);
+  EXPECT_THROW((void)m.cooling_power(Watts{-1.0}, 25_degC),
+               std::invalid_argument);
 }
 
 TEST(CoolingModel, FacilityPowerAndPue) {

@@ -20,7 +20,7 @@ TEST(SwitchPowerModel, StaticPlusDynamic) {
 
 TEST(SwitchPowerModel, NegativeTrafficThrows) {
   SwitchPowerModel m(5_W, 10.0);
-  EXPECT_THROW(m.power(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)m.power(-0.1), std::invalid_argument);
 }
 
 TEST(SwitchPowerModel, CapacityUnderBudgetInvertsPower) {

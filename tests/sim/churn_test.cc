@@ -52,7 +52,9 @@ TEST(Churn, InvariantsHoldUnderChurn) {
   std::size_t hosted = 0;
   for (auto s : cluster.server_ids()) {
     const auto& srv = cluster.server(s);
-    if (srv.asleep()) EXPECT_TRUE(srv.apps().empty());
+    if (srv.asleep()) {
+      EXPECT_TRUE(srv.apps().empty());
+    }
     for (const auto& a : srv.apps()) {
       EXPECT_EQ(cluster.host_of(a.id()), s);
       ++hosted;

@@ -173,7 +173,7 @@ TEST(ScenarioIo, ErrorsCarryLineNumbers) {
 
 TEST(ScenarioIo, MalformedInputsFail) {
   EXPECT_THROW(parse("utilization 0.5\n"), std::runtime_error);      // no '='
-  EXPECT_THROW(parse("utilization = abc\n"), std::runtime_error);    // NaN
+  EXPECT_THROW(parse("utilization = abc\n"), std::runtime_error);    // no number
   EXPECT_THROW(parse("utilization = 99\n"), std::runtime_error);     // range
   EXPECT_THROW(parse("eta1 = 2.5\n"), std::runtime_error);           // non-int
   EXPECT_THROW(parse("prefer_local = maybe\n"), std::runtime_error); // bool
@@ -181,6 +181,9 @@ TEST(ScenarioIo, MalformedInputsFail) {
   EXPECT_THROW(parse("supply = sine 1\n"), std::runtime_error);      // arity
   EXPECT_THROW(parse("packing = quantum\n"), std::runtime_error);
   EXPECT_THROW(parse("= 5\n"), std::runtime_error);
+  EXPECT_THROW(parse("margin_w = nan\n"), std::runtime_error);      // NaN
+  EXPECT_THROW(parse("utilization = inf\n"), std::runtime_error);   // infinite
+  EXPECT_THROW(parse("warmup_ticks = 1e30\n"), std::runtime_error); // > long
   // Cross-field validation still applies (eta2 must exceed eta1).
   EXPECT_THROW(parse("eta1 = 7\neta2 = 7\n"), std::runtime_error);
 }

@@ -3,8 +3,13 @@
 // scenario parser (including the schema_version gate).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "power/supply.h"
 #include "sim/scenario_io.h"
@@ -58,6 +63,64 @@ TEST(SimConfigValidate, ProbabilityAndTickRangesAreNamed) {
   EXPECT_TRUE(mentions(errors, "churn_probability"));
   EXPECT_TRUE(mentions(errors, "report_loss_probability"));
   EXPECT_TRUE(mentions(errors, "warmup_ticks"));
+}
+
+TEST(SimConfigValidate, NanFieldsAreNamed) {
+  // NaN fails no ordered comparison, so every range check must be written to
+  // reject it explicitly.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::string, std::function<void(SimConfig&)>>>
+      cases{
+          {"churn_probability",
+           [&](SimConfig& c) { c.churn_probability = nan; }},
+          {"report_loss_probability",
+           [&](SimConfig& c) { c.report_loss_probability = nan; }},
+          {"ipc_chain_fraction",
+           [&](SimConfig& c) { c.ipc_chain_fraction = nan; }},
+          {"demand_quantum",
+           [&](SimConfig& c) { c.demand_quantum = util::Watts{nan}; }},
+          {"sla_inflation", [&](SimConfig& c) { c.sla_inflation = nan; }},
+          {"mix.unit_power",
+           [&](SimConfig& c) { c.mix.unit_power = util::Watts{nan}; }},
+          {"rack_circuit_limit",
+           [&](SimConfig& c) { c.rack_circuit_limit = util::Watts{nan}; }},
+      };
+  for (const auto& [field, set] : cases) {
+    SimConfig cfg;
+    set(cfg);
+    EXPECT_TRUE(mentions(cfg.validate(), field)) << field << " = nan accepted";
+  }
+}
+
+TEST(ControllerConfigValidate, NanAndNegativeFieldsAreNamed) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using core::ControllerConfig;
+  const std::vector<
+      std::pair<std::string, std::function<void(ControllerConfig&)>>>
+      cases{
+          {"margin", [&](ControllerConfig& c) { c.margin = util::Watts{nan}; }},
+          {"migration_cost",
+           [&](ControllerConfig& c) { c.migration_cost = util::Watts{nan}; }},
+          {"consolidation_threshold",
+           [&](ControllerConfig& c) { c.consolidation_threshold = nan; }},
+          {"report_deadband",
+           [&](ControllerConfig& c) { c.report_deadband = util::Watts{nan}; }},
+          {"migration_periods_per_gib",
+           [&](ControllerConfig& c) { c.migration_periods_per_gib = nan; }},
+          {"migration_periods_per_gib",
+           [&](ControllerConfig& c) { c.migration_periods_per_gib = -1.0; }},
+      };
+  for (const auto& [field, set] : cases) {
+    ControllerConfig cfg;
+    set(cfg);
+    try {
+      cfg.validate();
+      ADD_FAILURE() << field << ": invalid value accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SimConfigValidate, CollectsEveryProblemNotJustTheFirst) {

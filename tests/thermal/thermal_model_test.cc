@@ -153,8 +153,9 @@ TEST(ThermalModelStateless, MatchesMemberFunction) {
 }
 
 TEST(ThermalModelStateless, ZeroWindowThrows) {
-  EXPECT_THROW(power_limit_from(paper_sim_params(), 30_degC, Seconds{0.0}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)power_limit_from(paper_sim_params(), 30_degC, Seconds{0.0}),
+      std::invalid_argument);
 }
 
 // Semigroup property: one exact step over t equals any subdivision of t.

@@ -77,7 +77,7 @@ TEST(TimeSeries, RecordAndQuery) {
 
 TEST(TimeSeries, LastThrowsOnEmpty) {
   TimeSeries ts;
-  EXPECT_THROW(ts.last(), std::out_of_range);
+  EXPECT_THROW((void)ts.last(), std::out_of_range);
 }
 
 TEST(TimeSeries, MeanBetweenWindow) {
