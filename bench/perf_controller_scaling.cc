@@ -3,8 +3,8 @@
 //
 // For every configuration the simulation runs twice — once with
 // incremental_control off (the controller re-walks the whole PMU tree each
-// tick) and once on (dirty-set aggregation, memoized budget division,
-// packing reuse).  The two runs must produce identical results (asserted via
+// tick) and once on (dirty-set aggregation, memoized budget division, the
+// consolidation root failure cache and capacity index).  The two runs must produce identical results (asserted via
 // a determinism checksum); only the controller's wall time may differ.  The
 // timed quantity is the `sim.phase.controller.measured` timer, which counts
 // Controller::tick() wall time on post-warmup ticks only, so the low-churn

@@ -15,21 +15,6 @@ namespace willow::core {
 namespace {
 constexpr double kEps = 1e-9;
 
-obs::Event make_event(obs::EventType type, NodeId node,
-                      NodeId node2 = hier::kNoNode, workload::AppId app = 0,
-                      obs::Reason reason = obs::Reason::kNone,
-                      double value = 0.0, double aux = 0.0) {
-  obs::Event e;
-  e.type = type;
-  e.node = node;
-  e.node2 = node2;
-  e.app = app;
-  e.reason = reason;
-  e.value = value;
-  e.aux = aux;
-  return e;
-}
-
 // FNV-1a over 64-bit words; used to fingerprint a consolidation candidate's
 // hosted apps.  Collisions would silently reuse a stale verdict, but at 64
 // bits the collision rate is negligible against the ~1e7 fingerprints of even
@@ -51,44 +36,6 @@ std::uint64_t bits_of(double d) {
   std::memcpy(&u, &d, sizeof(u));
   return u;
 }
-}
-
-std::string to_string(const ControlEvent& e) {
-  std::string out = "t=" + std::to_string(e.tick) + " ";
-  switch (e.kind) {
-    case EventKind::kMigrationInitiated:
-      out += "migrate app " + std::to_string(e.app) + " " +
-             std::to_string(e.node) + " -> " + std::to_string(e.node2);
-      break;
-    case EventKind::kMigrationCompleted:
-      out += "landed app " + std::to_string(e.app) + " on " +
-             std::to_string(e.node2);
-      break;
-    case EventKind::kDrop:
-      out += "drop app " + std::to_string(e.app) + " on " +
-             std::to_string(e.node);
-      break;
-    case EventKind::kDegrade:
-      out += "degrade app " + std::to_string(e.app) + " on " +
-             std::to_string(e.node);
-      break;
-    case EventKind::kRevive:
-      out += "revive app " + std::to_string(e.app) + " on " +
-             std::to_string(e.node);
-      break;
-    case EventKind::kRestore:
-      out += "restore app " + std::to_string(e.app) + " on " +
-             std::to_string(e.node);
-      break;
-    case EventKind::kSleep:
-      out += "sleep server " + std::to_string(e.node);
-      break;
-    case EventKind::kWake:
-      out += "wake server " + std::to_string(e.node);
-      break;
-  }
-  out += " (" + std::to_string(e.amount.value()) + " W)";
-  return out;
 }
 
 void ControllerConfig::validate() const {
@@ -154,26 +101,28 @@ void ControllerConfig::validate() const {
 Controller::Controller(Cluster& cluster, ControllerConfig config)
     : cluster_(cluster), config_(config) {
   config_.validate();
-  budget_reduced_.assign(cluster_.tree().size(), false);
-  absorbed_w_.assign(cluster_.tree().size(), 0.0);
-  reserved_in_w_.assign(cluster_.tree().size(), 0.0);
-  outbound_in_flight_w_.assign(cluster_.tree().size(), 0.0);
   // The report sweep's walk policy lives in the tree; push ours down so the
   // whole control plane runs one mode.
   auto& tree = cluster_.tree();
   tree.set_incremental(config_.incremental);
   tree.set_report_deadband(config_.report_deadband);
   tree.set_shadow_diff(config_.shadow_diff);
+  build_topology();
 }
 
 bool Controller::budget_reduced(NodeId node) const {
   return node < budget_reduced_.size() && budget_reduced_[node];
 }
 
-void Controller::ensure_topology_cache() {
+void Controller::build_topology() {
   const auto& tree = cluster_.tree();
-  if (cache_tree_size_ == tree.size()) return;
-  cache_tree_size_ = tree.size();
+  const std::size_t n = tree.size();
+  budget_reduced_.assign(n, false);
+  thermally_clamped_.assign(n, 0);
+  absorbed_w_.assign(n, 0.0);
+  migrated_from_w_.assign(n, 0.0);
+  reserved_in_w_.assign(n, 0.0);
+  outbound_in_flight_w_.assign(n, 0.0);
   internal_bottom_up_.clear();
   for (NodeId id : tree.bottom_up()) {
     if (!tree.node(id).is_leaf()) internal_bottom_up_.push_back(id);
@@ -182,8 +131,8 @@ void Controller::ensure_topology_cache() {
   for (NodeId id : tree.top_down()) {
     if (!tree.node(id).is_leaf()) internal_top_down_.push_back(id);
   }
-  server_children_.assign(tree.size(), {});
-  is_group_parent_.assign(tree.size(), 0);
+  server_children_.assign(n, {});
+  is_group_parent_.assign(n, 0);
   group_parents_.clear();
   // Per-subtree server enumeration: contiguous arena slot spans.
   cluster_.arena().build_subtree_index(tree);
@@ -198,15 +147,28 @@ void Controller::ensure_topology_cache() {
     if (is_group_parent_[id]) group_parents_.push_back(id);
   }
 
-  // Incremental-state reset: a new (or re-shaped) tree starts all-dirty so
-  // the first pass of every phase is a full recompute that seeds the caches.
-  change_epoch_ = 0;
-  subtree_epoch_.assign(tree.size(), 0);
-  division_dirty_.assign(tree.size(), 1);
-  limit_dirty_.assign(tree.size(), 1);
-  leaf_limits_current_ = false;
-  pending_directives_.clear();
+  // The tree starts all-dirty so the first pass of every phase is a full
+  // recompute that seeds the caches.
+  subtree_epoch_.assign(n, 0);
+  division_dirty_.assign(n, 1);
+  limit_dirty_.assign(n, 1);
   consol_fail_root_.assign(cluster_.server_count(), {});
+}
+
+void Controller::emit(obs::EventType type, NodeId node, NodeId node2,
+                      workload::AppId app, obs::Reason reason, double value,
+                      double aux, obs::LinkDirection direction) {
+  if (bus_ == nullptr || !bus_->enabled()) return;
+  obs::Event e;
+  e.type = type;
+  e.node = node;
+  e.node2 = node2;
+  e.app = app;
+  e.reason = reason;
+  e.direction = direction;
+  e.value = value;
+  e.aux = aux;
+  bus_->emit(std::move(e));
 }
 
 void Controller::touch(NodeId node) {
@@ -219,13 +181,11 @@ void Controller::touch(NodeId node) {
 
 void Controller::note_external_change(NodeId node) {
   if (!config_.incremental) return;
-  ensure_topology_cache();
   touch(node);
   cluster_.tree().mark_report_dirty(node);
 }
 
 void Controller::note_availability_change(NodeId node) {
-  ensure_topology_cache();
   note_active_flip(node);
 }
 
@@ -332,7 +292,6 @@ void Controller::count_shadow_check(bool mismatch) {
 void Controller::apply_stale_observations() {
   if (config_.stale_timeout_ticks <= 0) return;
   auto& tree = cluster_.tree();
-  const bool observe = bus_ != nullptr && bus_->enabled();
   const std::size_t count = cluster_.server_count();
   for (std::size_t i = 0; i < count; ++i) {
     const auto& srv = cluster_.server_at(i);
@@ -354,11 +313,8 @@ void Controller::apply_stale_observations() {
             std::pow(config_.stale_decay, steps);
     if (stale == config_.stale_timeout_ticks) {
       if (c_stale_timeouts_ != nullptr) c_stale_timeouts_->increment();
-      if (observe) {
-        bus_->emit(make_event(obs::EventType::kStaleTimeout, srv.node(),
-                              hier::kNoNode, 0, obs::Reason::kNone,
-                              synthetic.value(), static_cast<double>(stale)));
-      }
+      emit(obs::EventType::kStaleTimeout, srv.node(), hier::kNoNode, 0,
+           obs::Reason::kNone, synthetic.value(), static_cast<double>(stale));
     }
     // Through the normal EWMA/report path, so the incremental and full walks
     // see identical inputs and shadow_diff keeps holding under faults.
@@ -398,11 +354,8 @@ void Controller::deliver_directive(NodeId id, Watts budget, bool duplicate) {
   if (budget < n.budget() - Watts{kEps}) mark_budget_reduced(id);
   const double previous = n.budget().value();
   auto announce = [&] {
-    if (bus_ != nullptr && bus_->enabled()) {
-      bus_->emit(make_event(obs::EventType::kBudgetDirective, id,
-                            hier::kNoNode, 0, obs::Reason::kNone,
-                            budget.value(), previous));
-    }
+    emit(obs::EventType::kBudgetDirective, id, hier::kNoNode, 0,
+         obs::Reason::kNone, budget.value(), previous);
   };
   announce();
   n.set_budget(budget);
@@ -419,13 +372,9 @@ void Controller::deliver_directive(NodeId id, Watts budget, bool duplicate) {
 
 void Controller::record_directive_loss(NodeId id, Watts budget) {
   if (c_directive_losses_ != nullptr) c_directive_losses_->increment();
-  if (bus_ != nullptr && bus_->enabled()) {
-    obs::Event e = make_event(obs::EventType::kLinkDrop, id, hier::kNoNode, 0,
-                              obs::Reason::kNone, budget.value(),
-                              cluster_.tree().node(id).budget().value());
-    e.direction = obs::LinkDirection::kDown;
-    bus_->emit(std::move(e));
-  }
+  emit(obs::EventType::kLinkDrop, id, hier::kNoNode, 0, obs::Reason::kNone,
+       budget.value(), cluster_.tree().node(id).budget().value(),
+       obs::LinkDirection::kDown);
 }
 
 void Controller::queue_directive_retry(NodeId id, Watts budget) {
@@ -490,7 +439,10 @@ void Controller::retry_pending_directives() {
 
 void Controller::tick(Watts available_supply) {
   ++tick_;
-  ensure_topology_cache();
+  if (subtree_epoch_.size() != cluster_.tree().size()) {
+    throw std::logic_error(
+        "Controller: the tree changed size after the controller was built");
+  }
   // The thermal step, sensor faults and ambient events between ticks may have
   // moved any leaf limit; the first supply pass of this tick re-sweeps.
   leaf_limits_current_ = false;
@@ -505,7 +457,6 @@ void Controller::tick(Watts available_supply) {
     touch(rec.to);
   }
   migrations_this_tick_.clear();
-  events_this_tick_.clear();
   targets_this_tick_.clear();
   absorbed_w_.assign(cluster_.tree().size(), 0.0);
   migrated_from_w_.assign(cluster_.tree().size(), 0.0);
@@ -543,17 +494,23 @@ void Controller::tick(Watts available_supply) {
   cluster_.age_temporary_demands();
 }
 
-void Controller::shadow_check_hard_limit(NodeId id) {
+Watts Controller::rolled_up_limit(NodeId id) const {
   const auto& tree = cluster_.tree();
-  const auto& n = tree.node(id);
   Watts sum{0.0};
-  for (NodeId c : n.children()) {
+  for (NodeId c : tree.node(id).children()) {
     if (tree.node(c).active()) sum += tree.node(c).hard_limit();
   }
+  // An under-designed rack/zone feed caps the subtree regardless of what its
+  // members could individually draw (Sec. I lean-design scenario).
   if (const auto rating = cluster_.group_circuit_limit(id)) {
     sum = util::min(sum, *rating);
   }
-  const bool mismatch = sum.value() != n.hard_limit().value();
+  return sum;
+}
+
+void Controller::shadow_check_hard_limit(NodeId id) {
+  const bool mismatch = rolled_up_limit(id).value() !=
+                        cluster_.tree().node(id).hard_limit().value();
   count_shadow_check(mismatch);
   if (mismatch) {
     throw std::logic_error(
@@ -584,7 +541,17 @@ void Controller::shadow_check_leaf_limits() {
 
 void Controller::update_hard_limits() {
   auto& tree = cluster_.tree();
-  const bool inc = config_.incremental;
+  // A moved limit re-runs the parent's roll-up and division.
+  auto set_limit = [&](NodeId id, Watts limit) {
+    auto& n = tree.node(id);
+    if (limit.value() == n.hard_limit().value()) return;
+    n.set_hard_limit(limit);
+    const NodeId p = n.parent();
+    if (p != hier::kNoNode) {
+      limit_dirty_[p] = 1;
+      division_dirty_[p] = 1;
+    }
+  };
   // Leaves first, by server index (flat scans, no id-hash lookups).  Inside
   // one tick none of a leaf limit's inputs move, so only the tick's first
   // pass sweeps; later wake-batch passes go straight to the roll-up.
@@ -594,45 +561,19 @@ void Controller::update_hard_limits() {
     leaf_limits_current_ = true;
     const auto& sids = cluster_.server_ids();
     for (std::size_t i = 0; i < sids.size(); ++i) {
-      auto& n = tree.node(sids[i]);
-      const Watts lim = leaf_limit(i);
-      if (lim.value() != n.hard_limit().value()) {
-        n.set_hard_limit(lim);
-        const NodeId p = n.parent();
-        if (p != hier::kNoNode) {
-          limit_dirty_[p] = 1;
-          division_dirty_[p] = 1;
-        }
-      }
+      set_limit(sids[i], leaf_limit(i));
     }
   }
   // Internal roll-up, children before parents; clean subtrees keep their
   // cached sums.  (Non-server leaves keep their infinite default, as in the
   // full walk, which never touched them either.)
   for (NodeId id : internal_bottom_up_) {
-    auto& n = tree.node(id);
-    if (inc && !limit_dirty_[id]) {
+    if (config_.incremental && !limit_dirty_[id]) {
       if (config_.shadow_diff) shadow_check_hard_limit(id);
       continue;
     }
     limit_dirty_[id] = 0;
-    Watts sum{0.0};
-    for (NodeId c : n.children()) {
-      if (tree.node(c).active()) sum += tree.node(c).hard_limit();
-    }
-    // An under-designed rack/zone feed caps the subtree regardless of what
-    // its members could individually draw (Sec. I lean-design scenario).
-    if (const auto rating = cluster_.group_circuit_limit(id)) {
-      sum = util::min(sum, *rating);
-    }
-    if (sum.value() != n.hard_limit().value()) {
-      n.set_hard_limit(sum);
-      const NodeId p = n.parent();
-      if (p != hier::kNoNode) {
-        limit_dirty_[p] = 1;
-        division_dirty_[p] = 1;
-      }
-    }
+    set_limit(id, rolled_up_limit(id));
   }
 }
 
@@ -676,24 +617,18 @@ void Controller::shadow_check_division(NodeId id) {
 
 void Controller::supply_adaptation(Watts available_supply) {
   auto& tree = cluster_.tree();
-  ensure_topology_cache();
   update_hard_limits();
-  if (budget_reduced_.size() != tree.size()) {
-    budget_reduced_.assign(tree.size(), false);
-    budget_reduced_ids_.clear();
-  } else {
-    // Ascending NodeId, the order a scan of the whole flag vector would
-    // visit them, so the touch() sequence (and every epoch) is unchanged.
-    std::sort(budget_reduced_ids_.begin(), budget_reduced_ids_.end());
-    for (NodeId id : budget_reduced_ids_) {
-      budget_reduced_[id] = false;
-      // Clearing the flag changes this node's eligibility under the
-      // unidirectional rule even though no budget moved; stamp it so
-      // cached consolidation verdicts that saw the old flag die.
-      touch(id);
-    }
-    budget_reduced_ids_.clear();
+  // Ascending NodeId, the order a scan of the whole flag vector would visit
+  // them, so the touch() sequence (and every epoch) is unchanged.
+  std::sort(budget_reduced_ids_.begin(), budget_reduced_ids_.end());
+  for (NodeId id : budget_reduced_ids_) {
+    budget_reduced_[id] = false;
+    // Clearing the flag changes this node's eligibility under the
+    // unidirectional rule even though no budget moved; stamp it so cached
+    // consolidation verdicts that saw the old flag die.
+    touch(id);
   }
+  budget_reduced_ids_.clear();
 
   const bool inc = config_.incremental;
   std::uint64_t directives = 0;
@@ -759,11 +694,7 @@ void Controller::supply_adaptation(Watts available_supply) {
 
 void Controller::enforce_thermal_limits() {
   auto& tree = cluster_.tree();
-  if (thermally_clamped_.size() != tree.size()) {
-    thermally_clamped_.assign(tree.size(), 0);
-  } else {
-    std::fill(thermally_clamped_.begin(), thermally_clamped_.end(), 0);
-  }
+  std::fill(thermally_clamped_.begin(), thermally_clamped_.end(), 0);
   const auto& sids = cluster_.server_ids();
   for (std::size_t i = 0; i < sids.size(); ++i) {
     const NodeId s = sids[i];
@@ -779,10 +710,8 @@ bool Controller::clamp_budget(NodeId server, Watts cap, obs::EventType type,
                               obs::Reason reason) {
   auto& leaf = cluster_.tree().node(server);
   if (!(leaf.budget() > cap + Watts{kEps})) return false;
-  if (bus_ != nullptr && bus_->enabled()) {
-    bus_->emit(make_event(type, server, hier::kNoNode, 0, reason, cap.value(),
-                          leaf.budget().value()));
-  }
+  emit(type, server, hier::kNoNode, 0, reason, cap.value(),
+       leaf.budget().value());
   leaf.set_budget(cap);
   mark_budget_reduced(server);
   // The clamp knocked this leaf off its parent's allocation; the next supply
@@ -884,20 +813,13 @@ void Controller::complete_due_migrations() {
       continue;
     }
     // The application may have been removed (workload churn) mid-transfer:
-    // release the bookkeeping and move on.
-    if (cluster_.host_of(m.app) != m.source) {
-      reserved_in_w_[m.target] =
-          std::max(0.0, reserved_in_w_[m.target] - m.demand.value());
-      outbound_in_flight_w_[m.source] =
-          std::max(0.0, outbound_in_flight_w_[m.source] - m.demand.value());
-      apps_in_flight_.erase(m.app);
-      touch(m.target);
-      touch(m.source);
-      continue;
-    }
-    cluster_.move_app(m.app, m.source, m.target);
-    if (Application* app = cluster_.find_app(m.app)) {
-      app->set_last_migrated_at(static_cast<double>(tick_));
+    // then only the bookkeeping is released.
+    const bool lands = cluster_.host_of(m.app) == m.source;
+    if (lands) {
+      cluster_.move_app(m.app, m.source, m.target);
+      if (Application* app = cluster_.find_app(m.app)) {
+        app->set_last_migrated_at(static_cast<double>(tick_));
+      }
     }
     reserved_in_w_[m.target] =
         std::max(0.0, reserved_in_w_[m.target] - m.demand.value());
@@ -906,15 +828,12 @@ void Controller::complete_due_migrations() {
     apps_in_flight_.erase(m.app);
     touch(m.target);
     touch(m.source);
-    events_this_tick_.push_back({EventKind::kMigrationCompleted, tick_, m.app,
-                                 m.source, m.target, m.demand});
-    if (bus_ != nullptr && bus_->enabled()) {
-      bus_->emit(make_event(obs::EventType::kMigrationLanded, m.source,
-                            m.target, m.app, obs::Reason::kNone,
-                            m.demand.value()));
+    if (lands) {
+      emit(obs::EventType::kMigrationLanded, m.source, m.target, m.app,
+           obs::Reason::kNone, m.demand.value());
+      WILLOW_DEBUG() << "migration of app " << m.app << " landed on "
+                     << m.target;
     }
-    WILLOW_DEBUG() << "migration of app " << m.app << " landed on "
-                   << m.target;
   }
   in_flight_.erase(keep, in_flight_.end());
 }
@@ -966,19 +885,14 @@ void Controller::apply_migration(const PlanItem& item, NodeId target) {
   rec.tick = tick_;
   rec.local = tree.node(item.source).parent() == tree.node(target).parent();
   migrations_this_tick_.push_back(rec);
-  events_this_tick_.push_back({EventKind::kMigrationInitiated, tick_, item.app,
-                               item.source, target, item.demand});
-  if (bus_ != nullptr && bus_->enabled()) {
-    const obs::Reason reason =
-        item.reason != obs::Reason::kNone
-            ? item.reason
-            : (item.cause == MigrationCause::kDemand
-                   ? obs::Reason::kSupplyDeficit
-                   : obs::Reason::kConsolidation);
-    bus_->emit(make_event(obs::EventType::kMigration, item.source, target,
-                          item.app, reason, item.demand.value(),
-                          rec.local ? 1.0 : 0.0));
-  }
+  const obs::Reason reason =
+      item.reason != obs::Reason::kNone
+          ? item.reason
+          : (item.cause == MigrationCause::kDemand
+                 ? obs::Reason::kSupplyDeficit
+                 : obs::Reason::kConsolidation);
+  emit(obs::EventType::kMigration, item.source, target, item.app, reason,
+       item.demand.value(), rec.local ? 1.0 : 0.0);
 
   if (item.cause == MigrationCause::kDemand) {
     ++stats_.demand_migrations;
@@ -1033,8 +947,8 @@ void Controller::collect_targets(NodeId scope, NodeId exclude,
   }
 }
 
-std::vector<std::size_t> Controller::pack_and_apply(
-    const std::vector<PlanItem>& items, const std::vector<NodeId>& targets) {
+std::size_t Controller::pack_and_apply(std::vector<PlanItem>& items,
+                                       const std::vector<NodeId>& targets) {
   if (bus_ != nullptr) {
     if (c_pack_calls_ == nullptr) {
       auto& m = bus_->metrics();
@@ -1045,27 +959,35 @@ std::vector<std::size_t> Controller::pack_and_apply(
     c_pack_calls_->increment();
     h_pack_items_->observe(static_cast<double>(items.size()));
   }
-  to_pack_items(items, bp_items_scratch_);
-  make_bins(targets, bp_bins_scratch_, bin_node_scratch_);
+  to_pack_items(items, pack_buf_.items);
+  make_bins(targets, pack_buf_.bins, pack_buf_.bin_nodes);
   const binpack::PackResult result =
-      binpack::pack(bp_items_scratch_, bp_bins_scratch_, config_.packing);
+      binpack::pack(pack_buf_.items, pack_buf_.bins, config_.packing);
   for (const auto& a : result.assignments) {
-    apply_migration(items[a.item], bin_node_scratch_[a.bin]);
+    apply_migration(items[a.item], pack_buf_.bin_nodes[a.bin]);
   }
-  return result.unplaced;
+  std::vector<PlanItem> rest;
+  rest.reserve(result.unplaced.size());
+  for (std::size_t idx : result.unplaced) rest.push_back(items[idx]);
+  const std::size_t placed = items.size() - rest.size();
+  items = std::move(rest);
+  return placed;
 }
 
 void Controller::demand_adaptation() {
-  auto& tree = cluster_.tree();
-  ensure_topology_cache();
+  std::vector<DemandGroup> groups = plan_demand_groups();
+  if (groups.empty()) return;
+  std::vector<PlanItem> pending = place_demand(groups);
+  // Root-level leftovers: wake sleeping capacity, then drop what remains.
+  if (!pending.empty() && config_.allow_wake) wake_for(pending);
+  if (!pending.empty() && config_.allow_drop) shed_leftovers(pending);
+}
 
-  // Build per-group local problems: every internal node with >= 1 server
-  // child is a "level-1" group (precomputed in group_parents_).
-  struct Group {
-    NodeId parent;
-    std::vector<PlanItem> items;
-  };
-  std::vector<Group> groups;
+std::vector<Controller::DemandGroup> Controller::plan_demand_groups() {
+  // Every internal node with >= 1 server child is a "level-1" group
+  // (precomputed in group_parents_).
+  const auto& tree = cluster_.tree();
+  std::vector<DemandGroup> groups;
   for (NodeId g : group_parents_) {
     std::vector<PlanItem> items;
     for (NodeId c : server_children_[g]) {
@@ -1077,149 +999,130 @@ void Controller::demand_adaptation() {
       if (deficit.value() > kEps) {
         // Attribute the move to what tightened this server's budget: the
         // per-ΔD thermal clamp if it fired here, else the supply division.
-        const obs::Reason reason =
-            c < thermally_clamped_.size() && thermally_clamped_[c]
-                ? obs::Reason::kThermal
-                : obs::Reason::kSupplyDeficit;
+        const obs::Reason reason = thermally_clamped_[c]
+                                       ? obs::Reason::kThermal
+                                       : obs::Reason::kSupplyDeficit;
         auto victims = select_victims(c, deficit + config_.margin,
                                       MigrationCause::kDemand, reason);
         items.insert(items.end(), victims.begin(), victims.end());
       }
     }
-    if (!items.empty()) {
-      groups.push_back({g, std::move(items)});
-    }
+    if (!items.empty()) groups.push_back({g, std::move(items)});
   }
-  if (groups.empty()) return;
+  return groups;
+}
 
+std::vector<Controller::PlanItem> Controller::place_demand(
+    std::vector<DemandGroup>& groups) {
+  const auto& tree = cluster_.tree();
+  const NodeId root = tree.root();
+  auto& targets = pack_buf_.targets;
   std::vector<PlanItem> pending;
-
-  if (config_.prefer_local) {
-    // Local pass: match each group's deficits against its own surpluses.
-    for (auto& grp : groups) {
-      target_scratch_.clear();
-      for (NodeId c : server_children_[grp.parent]) {
-        if (tree.node(c).active() && eligible_target(c, grp.parent)) {
-          target_scratch_.push_back(c);
-        }
-      }
-      const auto unplaced = pack_and_apply(grp.items, target_scratch_);
-      for (std::size_t idx : unplaced) pending.push_back(grp.items[idx]);
-    }
-    // Escalation: climb the hierarchy; at each internal node try the servers
-    // of the whole subtree (the local pass already exhausted same-group
-    // surpluses, so placements here are effectively non-local).
-    if (!pending.empty()) {
-      for (NodeId p : internal_bottom_up_) {
-        if (is_group_parent_[p] && p != tree.root()) continue;  // local pass done
-        std::vector<PlanItem> in_scope;
-        std::vector<PlanItem> out_of_scope;
-        for (auto& item : pending) {
-          (tree.is_ancestor(p, item.source) ? in_scope : out_of_scope)
-              .push_back(item);
-        }
-        if (in_scope.empty()) continue;
-        collect_targets(p, hier::kNoNode, target_scratch_);
-        const auto unplaced = pack_and_apply(in_scope, target_scratch_);
-        pending = std::move(out_of_scope);
-        for (std::size_t idx : unplaced) pending.push_back(in_scope[idx]);
-        if (pending.empty()) break;
-      }
-    }
-  } else {
+  if (!config_.prefer_local) {
     // Ablation: no locality preference — one global matching at the root.
     for (auto& grp : groups) {
       pending.insert(pending.end(), grp.items.begin(), grp.items.end());
     }
-    target_scratch_.clear();
-    for (NodeId s : cluster_.server_ids()) {
-      if (tree.node(s).active() && eligible_target(s, tree.root())) {
-        target_scratch_.push_back(s);
-      }
-    }
-    const auto unplaced = pack_and_apply(pending, target_scratch_);
-    std::vector<PlanItem> rest;
-    for (std::size_t idx : unplaced) rest.push_back(pending[idx]);
-    pending = std::move(rest);
+    collect_targets(root, hier::kNoNode, targets);
+    pack_and_apply(pending, targets);
+    return pending;
   }
-
-  // Root-level leftovers: wake sleeping capacity, then drop what remains.
-  if (!pending.empty() && config_.allow_wake) {
-    // Largest capacity first; explicit id tie-break keeps the order a pure
-    // function of the inputs.  The pool is a heap popped only as far as the
-    // batches reach (most ticks wake a handful out of thousands), over hard
-    // limits snapshotted now: unless a supply pass already ran this tick, the
-    // first batch's pass refreshes the sleepers' limits, and the order must
-    // not see that.
-    auto& sleepers = sleeper_heap_;
-    sleepers.clear();
-    const auto& sids = cluster_.server_ids();
-    for (std::size_t i = 0; i < sids.size(); ++i) {
-      if (cluster_.server_at(i).asleep()) {
-        sleepers.emplace_back(tree.node(sids[i]).hard_limit().value(), sids[i]);
+  // Local pass: match each group's deficits against its own surpluses.
+  for (auto& grp : groups) {
+    targets.clear();
+    for (NodeId c : server_children_[grp.parent]) {
+      if (tree.node(c).active() && eligible_target(c, grp.parent)) {
+        targets.push_back(c);
       }
     }
-    // Heap "less": `a` wakes after `b`.  A strict total order (ids are
-    // unique), so the pop sequence is the fully sorted order.
-    const auto wakes_later = [](const std::pair<double, NodeId>& a,
-                                const std::pair<double, NodeId>& b) {
-      if (a.first != b.first) return a.first < b.first;
-      return a.second > b.second;
-    };
-    std::make_heap(sleepers.begin(), sleepers.end(), wakes_later);
-    // Wake in geometric batches (1, 2, 4, ...) with ONE supply re-division
-    // per batch.  The per-wake re-division this replaces was O(fleet):
-    // waking W servers cost W full budget divisions, and under sustained
-    // churn the loop could drain a ~50k-server sleep pool chasing leftover
-    // demand that fits nowhere, turning one tick into minutes of wasted
-    // divisions.  Batching keeps wakes need-driven (a batch doubles only
-    // after the previous batch absorbed something) while bounding division
-    // work to O(log wakes) per tick, and the absorbed-nothing stop cuts the
-    // pathological case to a single wasted wake: capacity that hosts no
-    // leftover demand is capacity consolidation just has to re-sleep.
-    const auto& root_node = tree.node(tree.root());
-    std::size_t batch = 1;
-    std::vector<NodeId> batch_nodes;
-    while (!pending.empty() && !sleepers.empty()) {
-      // Headroom a wake could tap: budget the children could not absorb plus
-      // raw supply beyond the active-capacity cap on the root budget.
-      const Watts headroom =
-          root_unallocated_ +
-          util::positive_part(last_supply_ - root_node.budget());
-      if (headroom.value() <= config_.margin.value()) break;
-      batch_nodes.clear();
-      const std::size_t take = std::min(batch, sleepers.size());
-      for (std::size_t i = 0; i < take; ++i) {
-        std::pop_heap(sleepers.begin(), sleepers.end(), wakes_later);
-        const NodeId s = sleepers.back().second;
-        sleepers.pop_back();
-        cluster_.wake_server(s);
-        note_active_flip(s);
-        ++stats_.wakes;
-        events_this_tick_.push_back(
-            {EventKind::kWake, tick_, 0, s, hier::kNoNode, Watts{0.0}});
-        if (bus_ != nullptr && bus_->enabled()) {
-          bus_->emit(make_event(obs::EventType::kWake, s, hier::kNoNode, 0,
-                                obs::Reason::kSupplyDeficit));
-        }
-        WILLOW_INFO() << "wake server " << s << " for unplaced demand";
-        batch_nodes.push_back(s);
-      }
-      // Re-divide the same supply with the whole batch participating.
-      supply_adaptation(last_supply_);
-      const auto unplaced = pack_and_apply(pending, batch_nodes);
-      const std::size_t placed = pending.size() - unplaced.size();
-      std::vector<PlanItem> rest;
-      rest.reserve(unplaced.size());
-      for (std::size_t idx : unplaced) rest.push_back(pending[idx]);
-      pending = std::move(rest);
-      if (placed == 0) break;  // more capacity is not absorbing anything
-      batch *= 2;
+    pack_and_apply(grp.items, targets);
+    pending.insert(pending.end(), grp.items.begin(), grp.items.end());
+  }
+  // Escalation: climb the hierarchy; at each internal node try the servers
+  // of the whole subtree (the local pass already exhausted same-group
+  // surpluses, so placements here are effectively non-local).
+  for (NodeId p : internal_bottom_up_) {
+    if (pending.empty()) break;
+    if (is_group_parent_[p] && p != root) continue;  // local pass done
+    std::vector<PlanItem> in_scope;
+    std::vector<PlanItem> out_of_scope;
+    for (auto& item : pending) {
+      (tree.is_ancestor(p, item.source) ? in_scope : out_of_scope)
+          .push_back(item);
+    }
+    if (in_scope.empty()) continue;
+    collect_targets(p, hier::kNoNode, targets);
+    pack_and_apply(in_scope, targets);
+    pending = std::move(out_of_scope);
+    pending.insert(pending.end(), in_scope.begin(), in_scope.end());
+  }
+  return pending;
+}
+
+void Controller::wake_for(std::vector<PlanItem>& pending) {
+  const auto& tree = cluster_.tree();
+  // Largest capacity first; explicit id tie-break keeps the order a pure
+  // function of the inputs.  The pool is a heap popped only as far as the
+  // batches reach (most ticks wake a handful out of thousands), over hard
+  // limits snapshotted now: unless a supply pass already ran this tick, the
+  // first batch's pass refreshes the sleepers' limits, and the order must
+  // not see that.
+  auto& sleepers = sleeper_heap_;
+  sleepers.clear();
+  const auto& sids = cluster_.server_ids();
+  for (std::size_t i = 0; i < sids.size(); ++i) {
+    if (cluster_.server_at(i).asleep()) {
+      sleepers.emplace_back(tree.node(sids[i]).hard_limit().value(), sids[i]);
     }
   }
-
-  if (!pending.empty() && config_.allow_drop) {
-    shed_leftovers(pending);
+  // Heap "less": `a` wakes after `b`.  A strict total order (ids are
+  // unique), so the pop sequence is the fully sorted order.
+  const auto wakes_later = [](const std::pair<double, NodeId>& a,
+                              const std::pair<double, NodeId>& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second > b.second;
+  };
+  std::make_heap(sleepers.begin(), sleepers.end(), wakes_later);
+  // Wake in geometric batches (1, 2, 4, ...) with ONE supply re-division
+  // per batch.  The per-wake re-division this replaces was O(fleet):
+  // waking W servers cost W full budget divisions, and under sustained
+  // churn the loop could drain a ~50k-server sleep pool chasing leftover
+  // demand that fits nowhere, turning one tick into minutes of wasted
+  // divisions.  Batching keeps wakes need-driven (a batch doubles only
+  // after the previous batch absorbed something) while bounding division
+  // work to O(log wakes) per tick, and the absorbed-nothing stop cuts the
+  // pathological case to a single wasted wake: capacity that hosts no
+  // leftover demand is capacity consolidation just has to re-sleep.
+  const auto& root_node = tree.node(tree.root());
+  std::size_t batch = 1;
+  std::vector<NodeId> batch_nodes;
+  while (!pending.empty() && !sleepers.empty()) {
+    // Headroom a wake could tap: budget the children could not absorb plus
+    // raw supply beyond the active-capacity cap on the root budget.
+    const Watts headroom =
+        root_unallocated_ +
+        util::positive_part(last_supply_ - root_node.budget());
+    if (headroom.value() <= config_.margin.value()) break;
+    batch_nodes.clear();
+    const std::size_t take = std::min(batch, sleepers.size());
+    for (std::size_t i = 0; i < take; ++i) {
+      std::pop_heap(sleepers.begin(), sleepers.end(), wakes_later);
+      const NodeId s = sleepers.back().second;
+      sleepers.pop_back();
+      cluster_.wake_server(s);
+      note_active_flip(s);
+      ++stats_.wakes;
+      emit(obs::EventType::kWake, s, hier::kNoNode, 0,
+           obs::Reason::kSupplyDeficit);
+      WILLOW_INFO() << "wake server " << s << " for unplaced demand";
+      batch_nodes.push_back(s);
+    }
+    // Re-divide the same supply with the whole batch participating.
+    supply_adaptation(last_supply_);
+    if (pack_and_apply(pending, batch_nodes) == 0) {
+      break;  // more capacity is not absorbing anything
+    }
+    batch *= 2;
   }
 }
 
@@ -1281,13 +1184,8 @@ void Controller::shed_leftovers(std::vector<PlanItem>& pending) {
         ++stats_.degrades;
         stats_.degraded_demand += Watts{released};
         shed += released;
-        events_this_tick_.push_back({EventKind::kDegrade, tick_, app->id(),
-                                     source, hier::kNoNode, Watts{released}});
-        if (bus_ != nullptr && bus_->enabled()) {
-          bus_->emit(make_event(obs::EventType::kDegrade, source,
-                                hier::kNoNode, app->id(),
-                                obs::Reason::kShedding, released));
-        }
+        emit(obs::EventType::kDegrade, source, hier::kNoNode, app->id(),
+             obs::Reason::kShedding, released);
         WILLOW_INFO() << "degrade app " << app->id() << " on server " << source
                       << " to " << config_.degraded_service_level * 100.0
                       << "% (" << released << " W released)";
@@ -1303,12 +1201,8 @@ void Controller::shed_leftovers(std::vector<PlanItem>& pending) {
       ++stats_.drops;
       stats_.dropped_demand += Watts{released};
       shed += released;
-      events_this_tick_.push_back({EventKind::kDrop, tick_, app->id(), source,
-                                   hier::kNoNode, Watts{released}});
-      if (bus_ != nullptr && bus_->enabled()) {
-        bus_->emit(make_event(obs::EventType::kDrop, source, hier::kNoNode,
-                              app->id(), obs::Reason::kShedding, released));
-      }
+      emit(obs::EventType::kDrop, source, hier::kNoNode, app->id(),
+           obs::Reason::kShedding, released);
       WILLOW_INFO() << "drop app " << app->id() << " on server " << source
                     << " (" << released << " W)";
     }
@@ -1467,10 +1361,7 @@ void Controller::precompute_local_plans() {
       pool_, consol_order_.size(), [&](std::size_t begin, std::size_t end) {
         // Worker-local buffers; the shared scratch members stay untouched
         // until the serial drain.
-        std::vector<NodeId> targets;
-        std::vector<binpack::Item> bp_items;
-        std::vector<binpack::Bin> bp_bins;
-        std::vector<NodeId> bin_nodes;
+        PackBuffers buf;
         for (std::size_t k = begin; k < end; ++k) {
           const std::uint32_t ci = consol_order_[k].server;
           const NodeId s = sids[ci];
@@ -1486,16 +1377,7 @@ void Controller::precompute_local_plans() {
           // The drain answers this one from the root failure cache before
           // it would look at a local plan.
           if (root_fail_cached(ci, sig)) continue;
-          collect_targets(scope, s, targets);
-          to_pack_items(plan.items, bp_items);
-          make_bins(targets, bp_bins, bin_nodes);
-          const binpack::PackResult result =
-              binpack::pack(bp_items, bp_bins, config_.packing);
-          plan.assign.clear();
-          for (const auto& a : result.assignments) {
-            plan.assign.emplace_back(a.item, bin_nodes[a.bin]);
-          }
-          plan.placed_all = result.all_placed();
+          plan.placed_all = dry_run(s, plan.items, scope, buf, plan.assign);
           plan.sig = sig;
           plan.scope_epoch = subtree_epoch_[scope];
           plan.computed = true;
@@ -1587,36 +1469,31 @@ bool Controller::run_scope(NodeId candidate,
     }
     return verdict;
   }
-  const binpack::PackResult result = dry_run(candidate, items, scope);
-  fast_assign_scratch_.clear();
+  return dry_run(candidate, items, scope, pack_buf_, fast_assign_scratch_);
+}
+
+bool Controller::dry_run(NodeId candidate, const std::vector<PlanItem>& items,
+                         NodeId scope, PackBuffers& buf,
+                         Assignment& plan) const {
+  collect_targets(scope, candidate, buf.targets);
+  to_pack_items(items, buf.items);
+  make_bins(buf.targets, buf.bins, buf.bin_nodes);
+  const binpack::PackResult result =
+      binpack::pack(buf.items, buf.bins, config_.packing);
+  plan.clear();
   for (const auto& a : result.assignments) {
-    fast_assign_scratch_.emplace_back(a.item, bin_node_scratch_[a.bin]);
+    plan.emplace_back(a.item, buf.bin_nodes[a.bin]);
   }
   return result.all_placed();
 }
 
-binpack::PackResult Controller::dry_run(NodeId candidate,
-                                        const std::vector<PlanItem>& items,
-                                        NodeId scope) {
-  collect_targets(scope, candidate, target_scratch_);
-  to_pack_items(items, bp_items_scratch_);
-  make_bins(target_scratch_, bp_bins_scratch_, bin_node_scratch_);
-  return binpack::pack(bp_items_scratch_, bp_bins_scratch_, config_.packing);
-}
-
 void Controller::shadow_check_fast_root_pack(
     NodeId candidate, const std::vector<PlanItem>& items, bool verdict) {
-  const auto full = dry_run(candidate, items, cluster_.tree().root());
-  bool mismatch = full.all_placed() != verdict;
-  if (!mismatch && verdict) {
-    mismatch = full.assignments.size() != fast_assign_scratch_.size();
-    for (std::size_t j = 0; !mismatch && j < fast_assign_scratch_.size();
-         ++j) {
-      mismatch = full.assignments[j].item != fast_assign_scratch_[j].first ||
-                 bin_node_scratch_[full.assignments[j].bin] !=
-                     fast_assign_scratch_[j].second;
-    }
-  }
+  Assignment full;
+  const bool placed_all =
+      dry_run(candidate, items, cluster_.tree().root(), pack_buf_, full);
+  const bool mismatch =
+      placed_all != verdict || (verdict && full != fast_assign_scratch_);
   count_shadow_check(mismatch);
   if (mismatch) {
     throw std::logic_error(
@@ -1644,28 +1521,6 @@ void Controller::build_consol_index() {
   const NodeId root = tree.root();
   const auto& sids = cluster_.server_ids();
   const std::size_t count = sids.size();
-  consol_root_eligible_.assign(count, 1);
-  if (config_.enforce_unidirectional) {
-    // eligible_target(t, root) bans targets whose path [parent(t), root)
-    // crosses a reduced node in reported deficit; one top-down pass (parents
-    // precede children by id) folds the flag along every path.
-    std::vector<char> banned(tree.size(), 0);
-    for (NodeId x = 0; x < static_cast<NodeId>(tree.size()); ++x) {
-      if (x == root) continue;
-      const auto& node = tree.node(x);
-      const NodeId p = node.parent();
-      banned[x] = ((budget_reduced_[x] &&
-                    reported_deficit(node).value() > kEps) ||
-                   (p != hier::kNoNode && p != root && banned[p] != 0))
-                      ? 1
-                      : 0;
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      const NodeId p = tree.node(sids[i]).parent();
-      consol_root_eligible_[i] =
-          (p == hier::kNoNode || p == root || banned[p] == 0) ? 1 : 0;
-    }
-  }
   // Fill a flat scratch first and feed the set with hinted end-inserts:
   // O(n log n) sort + O(n) tree construction instead of n log n node-by-node
   // insertions with cold-cache rebalancing.
@@ -1674,7 +1529,7 @@ void Controller::build_consol_index() {
   consol_cap_of_.assign(count, -1.0);
   for (std::size_t i = 0; i < count; ++i) {
     const NodeId t = sids[i];
-    if (consol_root_eligible_[i] == 0 || !tree.node(t).active()) continue;
+    if (!tree.node(t).active() || !eligible_target(t, root)) continue;
     const double cap = target_capacity(t).value();
     if (cap > kEps) {
       flat.emplace_back(cap, t);
@@ -1702,15 +1557,14 @@ void Controller::consol_index_erase(NodeId target) {
 void Controller::consol_index_update(NodeId target) {
   if (!consol_index_built_) return;
   consol_index_erase(target);
-  const std::uint32_t slot = cluster_.arena().slot_of(target);
-  if (consol_root_eligible_[slot] == 0 ||
-      !cluster_.tree().node(target).active()) {
+  const auto& tree = cluster_.tree();
+  if (!tree.node(target).active() || !eligible_target(target, tree.root())) {
     return;
   }
   const double cap = target_capacity(target).value();
   if (cap <= kEps) return;
   consol_cap_index_.insert(std::pair<double, NodeId>{cap, target});
-  consol_cap_of_[slot] = cap;
+  consol_cap_of_[cluster_.arena().slot_of(target)] = cap;
   ++consol_tally_.index_updates;
 }
 
@@ -1722,12 +1576,8 @@ void Controller::put_to_sleep(NodeId server) {
   tree.node(server).set_budget(Watts{0.0});
   note_active_flip(server);
   ++stats_.sleeps;
-  events_this_tick_.push_back(
-      {EventKind::kSleep, tick_, 0, server, hier::kNoNode, Watts{0.0}});
-  if (bus_ != nullptr && bus_->enabled()) {
-    bus_->emit(make_event(obs::EventType::kSleep, server, hier::kNoNode, 0,
-                          obs::Reason::kConsolidation));
-  }
+  emit(obs::EventType::kSleep, server, hier::kNoNode, 0,
+       obs::Reason::kConsolidation);
 }
 
 bool Controller::fast_root_pack(NodeId candidate,
@@ -1752,25 +1602,18 @@ bool Controller::fast_root_pack(NodeId candidate,
     }
   }
   if (cmax <= 0.0) return false;  // no usable bin anywhere in the fleet
-  to_pack_items(items, bp_items_scratch_);
+  to_pack_items(items, pack_buf_.items);
   const binpack::VirtualGroups vg =
-      binpack::ffdlr_virtual_groups(bp_items_scratch_, cmax);
+      binpack::ffdlr_virtual_groups(pack_buf_.items, cmax);
   if (!vg.oversized.empty()) return false;  // unplaceable regardless
   fast_assign_scratch_.clear();
   // Bins this plan already used, as (node, residual) in touch order, and
   // the items that fell out of whole-group placement.  Both are tiny
   // (bounded by the candidate's app count), so linear membership scans
   // beat any indexed structure.
-  auto& touched = fast_touched_scratch_;
-  touched.clear();
   auto& leftovers = fast_leftover_scratch_;
+  fast_touched_scratch_.clear();
   leftovers.clear();
-  auto is_touched = [&](NodeId t) {
-    for (const auto& e : touched) {
-      if (e.first == t) return true;
-    }
-    return false;
-  };
   for (const auto& g : vg.groups) {
     // Start at the first entry that could pass capacity + eps >= content
     // (the two boundary forms differ far below eps at watt magnitudes)
@@ -1781,7 +1624,7 @@ bool Controller::fast_root_pack(NodeId candidate,
     double chosen_cap = 0.0;
     for (; it != consol_cap_index_.end(); ++it) {
       if (!binpack::fits(it->first, g.content)) continue;
-      if (it->second == candidate || is_touched(it->second)) continue;
+      if (it->second == candidate || fast_touched(it->second)) continue;
       chosen = it->second;
       chosen_cap = it->first;
       break;
@@ -1800,12 +1643,25 @@ bool Controller::fast_root_pack(NodeId candidate,
       // associative.
       residual -= items[item].size.value();
     }
-    touched.emplace_back(chosen, residual);
+    fast_touched_scratch_.emplace_back(chosen, residual);
   }
-  if (leftovers.empty()) return true;
+  return leftovers.empty() || fast_root_best_fit(candidate, items);
+}
+
+bool Controller::fast_touched(NodeId target) const {
+  for (const auto& e : fast_touched_scratch_) {
+    if (e.first == target) return true;
+  }
+  return false;
+}
+
+bool Controller::fast_root_best_fit(NodeId candidate,
+                                    const std::vector<PlanItem>& items) {
   // pack()'s final pass: leftovers re-sorted globally (size descending,
   // input index ascending), each best-fit into the minimal feasible
   // slack; ties go to the lowest bin input index, i.e. lowest NodeId.
+  auto& leftovers = fast_leftover_scratch_;
+  auto& touched = fast_touched_scratch_;
   std::stable_sort(leftovers.begin(), leftovers.end(),
                    [&](std::size_t a, std::size_t b) {
                      if (items[a].size.value() != items[b].size.value()) {
@@ -1827,7 +1683,7 @@ bool Controller::fast_root_pack(NodeId candidate,
     for (; it != consol_cap_index_.end(); ++it) {
       const double slack = it->first - size;  // pack()'s exact slack form
       if (!(slack >= -kEps)) continue;
-      if (it->second == candidate || is_touched(it->second)) continue;
+      if (it->second == candidate || fast_touched(it->second)) continue;
       if (chosen == hier::kNoNode) {
         best = slack;
         chosen = it->second;
@@ -1863,137 +1719,133 @@ bool Controller::fast_root_pack(NodeId candidate,
 }
 
 void Controller::revive_dropped() {
-  auto& tree = cluster_.tree();
-  // Fleet-wide skip: the stats counters bound the number of currently
-  // dropped (drops - revivals) and degraded (degrades - restores) apps from
-  // above, so equal pairs mean the whole scan would be a no-op.
-  // Conservative: an app churned away while dropped leaves its drop
-  // unmatched forever and the scan keeps running — still correct.
-  if (config_.incremental && stats_.drops == stats_.revivals &&
-      stats_.degrades == stats_.restores) {
-    if (config_.shadow_diff) {
-      bool mismatch = false;
-      for (std::size_t i = 0; i < cluster_.server_count(); ++i) {
-        for (const auto& a : cluster_.server_at(i).apps()) {
-          if (a.dropped() || a.degraded()) {
-            mismatch = true;
-            break;
-          }
-        }
-        if (mismatch) break;
-      }
-      count_shadow_check(mismatch);
-      if (mismatch) {
-        throw std::logic_error(
-            "Controller shadow diff: revive scan skipped while dropped or "
-            "degraded applications exist");
-      }
-    }
-    return;
-  }
+  if (revival_idle()) return;
+  const auto& tree = cluster_.tree();
   for (NodeId s : cluster_.server_ids()) {
     const auto& leaf = tree.node(s);
     if (!leaf.active()) continue;
     // The unidirectional rule applied to admission: do not bring workload
     // back under any node whose budget was just reduced.
+    bool reduced_path = false;
     if (config_.enforce_unidirectional) {
-      bool reduced_path = false;
-      for (NodeId cur = s; cur != hier::kNoNode; cur = tree.node(cur).parent()) {
-        if (budget_reduced_[cur]) {
-          reduced_path = true;
-          break;
-        }
+      for (NodeId cur = s; cur != hier::kNoNode && !reduced_path;
+           cur = tree.node(cur).parent()) {
+        reduced_path = budget_reduced_[cur];
       }
-      if (reduced_path) continue;
     }
+    if (reduced_path) continue;
     Watts headroom =
         reported_surplus(leaf) - config_.margin - Watts{absorbed_w_[s]};
     if (headroom.value() <= kEps) continue;
-    auto& apps = cluster_.server(s).apps();
+    revive_apps(s, headroom);
+    restore_apps(s, headroom);
+  }
+}
 
-    // Phase 1: bring shut-down applications back (highest priority first,
-    // then cheapest, then app id).  A revived app returns at its current
-    // service level.
-    std::vector<Application*> dropped;
-    for (auto& a : apps) {
-      if (a.dropped()) dropped.push_back(&a);
-    }
-    std::stable_sort(dropped.begin(), dropped.end(),
-                     [](const Application* a, const Application* b) {
-                       if (a->priority() != b->priority()) {
-                         return a->priority() < b->priority();
-                       }
-                       if (a->effective_mean_power().value() !=
-                           b->effective_mean_power().value()) {
-                         return a->effective_mean_power() <
-                                b->effective_mean_power();
-                       }
-                       return a->id() < b->id();
-                     });
-    bool revived_any = false;
-    for (Application* a : dropped) {
-      if (a->effective_mean_power() <= headroom) {
-        a->set_dropped(false);
-        revived_any = true;
-        headroom -= a->effective_mean_power();
-        ++stats_.revivals;
-        events_this_tick_.push_back({EventKind::kRevive, tick_, a->id(), s,
-                                     hier::kNoNode, a->effective_mean_power()});
-        if (bus_ != nullptr && bus_->enabled()) {
-          bus_->emit(make_event(obs::EventType::kRevive, s, hier::kNoNode,
-                                a->id(), obs::Reason::kNone,
-                                a->effective_mean_power().value()));
+bool Controller::revival_idle() {
+  // Fleet-wide skip: the stats counters bound the number of currently
+  // dropped (drops - revivals) and degraded (degrades - restores) apps from
+  // above, so equal pairs mean the whole scan would be a no-op.
+  // Conservative: an app churned away while dropped leaves its drop
+  // unmatched forever and the scan keeps running — still correct.
+  if (!config_.incremental || stats_.drops != stats_.revivals ||
+      stats_.degrades != stats_.restores) {
+    return false;
+  }
+  if (config_.shadow_diff) {
+    bool mismatch = false;
+    for (std::size_t i = 0; i < cluster_.server_count() && !mismatch; ++i) {
+      for (const auto& a : cluster_.server_at(i).apps()) {
+        if (a.dropped() || a.degraded()) {
+          mismatch = true;
+          break;
         }
-        WILLOW_INFO() << "revive app " << a->id() << " on server " << s;
       }
     }
-    if (revived_any) {
-      // A revived app re-enters the live-demand sum immediately.
-      cluster_.server(s).invalidate_app_demand_cache();
-      touch(s);
+    count_shadow_check(mismatch);
+    if (mismatch) {
+      throw std::logic_error(
+          "Controller shadow diff: revive scan skipped while dropped or "
+          "degraded applications exist");
     }
+  }
+  return true;
+}
 
-    // Phase 2: restore degraded service levels (highest priority first,
-    // then cheapest upgrade, then app id).
-    std::vector<Application*> degraded;
-    for (auto& a : apps) {
-      if (!a.dropped() && a.degraded()) degraded.push_back(&a);
+void Controller::revive_apps(NodeId server, Watts& headroom) {
+  // Highest priority first, then cheapest, then app id.  A revived app
+  // returns at its current service level.
+  std::vector<Application*> dropped;
+  for (auto& a : cluster_.server(server).apps()) {
+    if (a.dropped()) dropped.push_back(&a);
+  }
+  std::stable_sort(dropped.begin(), dropped.end(),
+                   [](const Application* a, const Application* b) {
+                     if (a->priority() != b->priority()) {
+                       return a->priority() < b->priority();
+                     }
+                     if (a->effective_mean_power().value() !=
+                         b->effective_mean_power().value()) {
+                       return a->effective_mean_power() <
+                              b->effective_mean_power();
+                     }
+                     return a->id() < b->id();
+                   });
+  bool revived_any = false;
+  for (Application* a : dropped) {
+    if (a->effective_mean_power() <= headroom) {
+      a->set_dropped(false);
+      revived_any = true;
+      headroom -= a->effective_mean_power();
+      ++stats_.revivals;
+      emit(obs::EventType::kRevive, server, hier::kNoNode, a->id(),
+           obs::Reason::kNone, a->effective_mean_power().value());
+      WILLOW_INFO() << "revive app " << a->id() << " on server " << server;
     }
-    std::stable_sort(degraded.begin(), degraded.end(),
-                     [](const Application* a, const Application* b) {
-                       if (a->priority() != b->priority()) {
-                         return a->priority() < b->priority();
-                       }
-                       const Watts ga =
-                           a->mean_power() - a->effective_mean_power();
-                       const Watts gb =
-                           b->mean_power() - b->effective_mean_power();
-                       if (ga.value() != gb.value()) return ga < gb;
-                       return a->id() < b->id();
-                     });
-    bool restored_any = false;
-    for (Application* a : degraded) {
-      const Watts gain = a->mean_power() - a->effective_mean_power();
-      if (gain <= headroom) {
-        a->set_service_level(1.0);
-        restored_any = true;
-        headroom -= gain;
-        ++stats_.restores;
-        events_this_tick_.push_back(
-            {EventKind::kRestore, tick_, a->id(), s, hier::kNoNode, gain});
-        if (bus_ != nullptr && bus_->enabled()) {
-          bus_->emit(make_event(obs::EventType::kRestore, s, hier::kNoNode,
-                                a->id(), obs::Reason::kNone, gain.value()));
-        }
-        WILLOW_INFO() << "restore app " << a->id() << " to full service on "
-                      << s;
-      }
+  }
+  if (revived_any) {
+    // A revived app re-enters the live-demand sum immediately.
+    cluster_.server(server).invalidate_app_demand_cache();
+    touch(server);
+  }
+}
+
+void Controller::restore_apps(NodeId server, Watts& headroom) {
+  // Highest priority first, then cheapest upgrade, then app id.
+  std::vector<Application*> degraded;
+  for (auto& a : cluster_.server(server).apps()) {
+    if (!a.dropped() && a.degraded()) degraded.push_back(&a);
+  }
+  std::stable_sort(degraded.begin(), degraded.end(),
+                   [](const Application* a, const Application* b) {
+                     if (a->priority() != b->priority()) {
+                       return a->priority() < b->priority();
+                     }
+                     const Watts ga =
+                         a->mean_power() - a->effective_mean_power();
+                     const Watts gb =
+                         b->mean_power() - b->effective_mean_power();
+                     if (ga.value() != gb.value()) return ga < gb;
+                     return a->id() < b->id();
+                   });
+  bool restored_any = false;
+  for (Application* a : degraded) {
+    const Watts gain = a->mean_power() - a->effective_mean_power();
+    if (gain <= headroom) {
+      a->set_service_level(1.0);
+      restored_any = true;
+      headroom -= gain;
+      ++stats_.restores;
+      emit(obs::EventType::kRestore, server, hier::kNoNode, a->id(),
+           obs::Reason::kNone, gain.value());
+      WILLOW_INFO() << "restore app " << a->id() << " to full service on "
+                    << server;
     }
-    if (restored_any) {
-      // The restored level changes the next demand draw's mean; stamp the
-      // subtree so consolidation re-judges it alongside that draw.
-      touch(s);
-    }
+  }
+  if (restored_any) {
+    // The restored level changes the next demand draw's mean; stamp the
+    // subtree so consolidation re-judges it alongside that draw.
+    touch(server);
   }
 }
 

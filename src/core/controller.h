@@ -180,32 +180,6 @@ struct MigrationRecord {
   bool local = false;  ///< source and target share a parent
 };
 
-/// One entry of the controller's per-tick decision log.  Every action the
-/// controller takes is recorded; `migrations_this_tick()` remains the
-/// migration-specific view.
-enum class EventKind {
-  kMigrationInitiated,  ///< node = source, node2 = target
-  kMigrationCompleted,  ///< latency mode: transfer landed (node2 = target)
-  kDrop,                ///< application shut down (degraded mode)
-  kDegrade,             ///< service level reduced; amount = released W
-  kRevive,              ///< dropped application brought back
-  kRestore,             ///< service level restored to full
-  kSleep,               ///< server deactivated (node)
-  kWake,                ///< server woken for unplaceable demand (node)
-};
-
-struct ControlEvent {
-  EventKind kind;
-  long tick = 0;
-  workload::AppId app = 0;     ///< 0 for server-level events
-  NodeId node = hier::kNoNode;
-  NodeId node2 = hier::kNoNode;
-  Watts amount{0.0};           ///< demand moved / released / restored
-};
-
-/// Human-readable one-liner for logs and the CLI.
-[[nodiscard]] std::string to_string(const ControlEvent& event);
-
 struct ControllerStats {
   std::uint64_t demand_migrations = 0;
   std::uint64_t consolidation_migrations = 0;
@@ -237,11 +211,6 @@ class Controller {
   [[nodiscard]] const std::vector<MigrationRecord>& migrations_this_tick()
       const {
     return migrations_this_tick_;
-  }
-
-  /// Every decision taken during the most recent tick(), in order.
-  [[nodiscard]] const std::vector<ControlEvent>& events_this_tick() const {
-    return events_this_tick_;
   }
 
   /// Observer invoked for every applied migration (e.g. fabric accounting).
@@ -348,9 +317,34 @@ class Controller {
   /// Returns false, doing nothing, when the budget is already within cap.
   bool clamp_budget(NodeId server, Watts cap, obs::EventType type,
                     obs::Reason reason);
-  void demand_adaptation();
   void consolidate();
+
+  // ---- demand adaptation stages (demand_adaptation() runs them in order) ----
+
+  /// One level-1 group (internal node with >= 1 server child) and the
+  /// victims chosen to cover its servers' deficits.
+  struct DemandGroup {
+    NodeId parent;
+    std::vector<PlanItem> items;
+  };
+  void demand_adaptation();
+  /// Groups whose servers report a deficit, in group_parents_ order.
+  std::vector<DemandGroup> plan_demand_groups();
+  /// Local pass per group, then escalation up the tree (or, without the
+  /// locality preference, one matching at the root).  Returns the leftovers.
+  std::vector<PlanItem> place_demand(std::vector<DemandGroup>& groups);
+  /// Wake sleeping servers in geometric batches for the leftovers.
+  void wake_for(std::vector<PlanItem>& pending);
+
+  // ---- revival (revive_dropped() runs the phases per eligible server) ------
+
   void revive_dropped();
+  /// The fleet-wide skip holds: no application is dropped or degraded.
+  [[nodiscard]] bool revival_idle();
+  /// Phase 1: bring dropped applications on `server` back within `headroom`.
+  void revive_apps(NodeId server, Watts& headroom);
+  /// Phase 2: restore degraded service levels on `server` within `headroom`.
+  void restore_apps(NodeId server, Watts& headroom);
 
   // ---- consolidation stages (consolidate() runs them in this order) --------
 
@@ -375,19 +369,34 @@ class Controller {
   /// changed since.
   [[nodiscard]] bool root_fail_cached(std::uint32_t server_index,
                                       std::uint64_t sig) const;
+  /// A migration plan: (item index, target) pairs in the packer's emission
+  /// order.
+  using Assignment = std::vector<std::pair<std::size_t, NodeId>>;
   /// Dry-run `items` at `scope` without applying anything; the plan lands in
-  /// fast_assign_scratch_ as (item, target) pairs in the packer's emission
-  /// order.  Returns whether every item was placed.
+  /// fast_assign_scratch_.  Returns whether every item was placed.
   bool run_scope(NodeId candidate, const std::vector<PlanItem>& items,
                  NodeId scope);
-  /// Full collect-and-pack dry run at `scope` in the member scratch
-  /// (bin_node_scratch_ maps the result's bins).
-  binpack::PackResult dry_run(NodeId candidate,
-                              const std::vector<PlanItem>& items,
-                              NodeId scope);
+  /// Working storage of one collect-and-pack run.  Caller-owned, so the
+  /// serial paths share member scratch and phase-1 workers bring their own.
+  struct PackBuffers {
+    std::vector<NodeId> targets;
+    std::vector<binpack::Item> items;
+    std::vector<binpack::Bin> bins;
+    std::vector<NodeId> bin_nodes;  ///< bin index -> target node
+  };
+  /// Full collect-and-pack dry run at `scope`, skipping `candidate` as a
+  /// target; the plan lands in `plan`.  Returns whether every item placed.
+  bool dry_run(NodeId candidate, const std::vector<PlanItem>& items,
+               NodeId scope, PackBuffers& buf, Assignment& plan) const;
   /// Fleet-scope verdict from the capacity index, bitwise equal to
   /// dry_run(candidate, items, root) (see consol_cap_index_).
   bool fast_root_pack(NodeId candidate, const std::vector<PlanItem>& items);
+  /// fast_root_pack's replay of pack()'s final best-fit pass over the items
+  /// in fast_leftover_scratch_.  Returns whether all of them placed.
+  bool fast_root_best_fit(NodeId candidate,
+                          const std::vector<PlanItem>& items);
+  /// The bin was already used by the current fast_root_pack plan.
+  [[nodiscard]] bool fast_touched(NodeId target) const;
   void shadow_check_fast_root_pack(NodeId candidate,
                                    const std::vector<PlanItem>& items,
                                    bool verdict);
@@ -441,9 +450,10 @@ class Controller {
   [[nodiscard]] bool eligible_target(NodeId target_server, NodeId scope) const;
 
   /// Pack `items` into the surpluses of `targets` and apply the resulting
-  /// migrations.  Returns the item indices that could not be placed.
-  std::vector<std::size_t> pack_and_apply(const std::vector<PlanItem>& items,
-                                          const std::vector<NodeId>& targets);
+  /// migrations; `items` keeps only what could not be placed, in the
+  /// packer's order.  Returns how many items were placed.
+  std::size_t pack_and_apply(std::vector<PlanItem>& items,
+                             const std::vector<NodeId>& targets);
 
   /// Packer items for `items`, keyed by position.
   static void to_pack_items(const std::vector<PlanItem>& items,
@@ -467,12 +477,18 @@ class Controller {
   /// surplus - margin - demand already migrated in this tick.
   [[nodiscard]] Watts target_capacity(NodeId server) const;
 
-  /// Rebuild the membership-derived candidate caches if the tree changed
-  /// shape.  Node membership is fixed after construction (only active flags
-  /// and budgets change per tick), so these are computed once and reused by
-  /// every tick instead of re-deriving them with per-node scans; the
-  /// tree-size check invalidates them should a caller ever grow the tree.
-  void ensure_topology_cache();
+  /// Build the membership-derived topology (walk lists, groups, subtree
+  /// spans) and size the per-node state.  Node membership is fixed once the
+  /// controller exists (only active flags and budgets change per tick), so
+  /// the constructor runs this once and tick() rejects a grown tree.
+  void build_topology();
+
+  /// Emit one decision event when tracing is on; the controller's only test
+  /// for an enabled bus.
+  void emit(obs::EventType type, NodeId node, NodeId node2 = hier::kNoNode,
+            workload::AppId app = 0, obs::Reason reason = obs::Reason::kNone,
+            double value = 0.0, double aux = 0.0,
+            obs::LinkDirection direction = obs::LinkDirection::kUp);
 
   // ---- incremental (change-driven) machinery -------------------------------
   // Shared invariant of every cache below: it is keyed on state that, when it
@@ -491,6 +507,10 @@ class Controller {
   /// update_hard_limits and enforce_thermal_limits so both clamp to
   /// identical bits.
   [[nodiscard]] Watts leaf_limit(std::size_t server_index) const;
+  /// An internal node's hard limit: its active children's limits summed,
+  /// capped by the group's circuit rating.  Shared by the roll-up and its
+  /// shadow check.
+  [[nodiscard]] Watts rolled_up_limit(NodeId id) const;
 
   /// Shadow-diff helpers: re-derive a skipped decision from scratch and throw
   /// std::logic_error on any bitwise mismatch.
@@ -614,7 +634,6 @@ class Controller {
   std::vector<char> thermally_clamped_;
   Watts root_unallocated_{0.0};
   std::vector<MigrationRecord> migrations_this_tick_;
-  std::vector<ControlEvent> events_this_tick_;
   /// Demand already accepted by each server during the current tick (so
   /// successive packing passes see shrunken surpluses).
   std::vector<double> absorbed_w_;
@@ -643,11 +662,10 @@ class Controller {
   std::function<void(const MigrationRecord&)> sink_;
   obs::EventBus* bus_ = nullptr;
 
-  /// Cached topology (see ensure_topology_cache).
-  std::size_t cache_tree_size_ = 0;
-  /// Internal (non-leaf) nodes only, in bottom-up (children first) and
-  /// top-down (parents first) order: the walks that roll up, divide and
-  /// escalate never act on a leaf, so they skip the fleet.
+  /// Topology (see build_topology).  Internal (non-leaf) nodes only, in
+  /// bottom-up (children first) and top-down (parents first) order: the
+  /// walks that roll up, divide and escalate never act on a leaf, so they
+  /// skip the fleet.
   std::vector<NodeId> internal_bottom_up_;
   std::vector<NodeId> internal_top_down_;
   /// Internal nodes with >= 1 server child, in bottom-up order (the "level-1
@@ -658,12 +676,9 @@ class Controller {
   /// descendants are the arena's subtree spans.)
   std::vector<std::vector<NodeId>> server_children_;
 
-  /// Packing scratch reused across pack_and_apply / dry-run calls (cleared
-  /// per use; sized once the fleet's steady-state planning width is seen).
-  std::vector<binpack::Item> bp_items_scratch_;
-  std::vector<binpack::Bin> bp_bins_scratch_;
-  std::vector<NodeId> bin_node_scratch_;
-  std::vector<NodeId> target_scratch_;
+  /// Packing scratch of the serial paths (pack_and_apply, dry runs, the
+  /// fast path's items), cleared per use.
+  PackBuffers pack_buf_;
   std::vector<const workload::Application*> victim_scratch_;
   std::vector<workload::Application*> shed_scratch_;
   /// Wake-loop sleep pool as a max-heap of (hard limit, NodeId) snapshots.
@@ -683,10 +698,9 @@ class Controller {
   /// erase it after a migration changes the capacity.
   std::set<std::pair<double, NodeId>> consol_cap_index_;
   std::vector<std::pair<double, NodeId>> consol_index_build_scratch_;
-  std::vector<double> consol_cap_of_;        ///< by slot; <0 = not indexed
-  std::vector<char> consol_root_eligible_;   ///< by slot (unidirectional rule)
+  std::vector<double> consol_cap_of_;  ///< by slot; <0 = not indexed
   bool consol_index_built_ = false;
-  std::vector<std::pair<std::size_t, NodeId>> fast_assign_scratch_;
+  Assignment fast_assign_scratch_;
   /// Fast-path pack scratch: bins the current candidate's plan already
   /// touched, as (target, residual) in touch order, and the item indices that
   /// fell out of whole-group placement (pack()'s leftover best-fit inputs).
@@ -702,7 +716,7 @@ class Controller {
   /// recompute would reproduce it bitwise.
   struct ConsolPlan {
     std::vector<PlanItem> items;
-    std::vector<std::pair<std::size_t, NodeId>> assign;
+    Assignment assign;
     std::uint64_t sig = 0;
     std::uint64_t scope_epoch = 0;
     bool placed_all = false;

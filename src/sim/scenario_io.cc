@@ -50,6 +50,31 @@ long parse_long(const std::string& text, int line) {
   return l;
 }
 
+/// An integer for a narrower field, checked against the field's range
+/// [lo, hi] before the caller's cast: a value outside it would otherwise
+/// wrap or narrow silently.
+long parse_int_in(const std::string& text, int line, long lo, long hi) {
+  const long v = parse_long(text, line);
+  if (v < lo || v > hi) {
+    fail(line, "integer '" + text + "' outside [" + std::to_string(lo) +
+                   ", " + std::to_string(hi) + "]");
+  }
+  return v;
+}
+
+/// An `int` field, optionally bounded below.
+int parse_int(const std::string& text, int line,
+              long lo = std::numeric_limits<int>::min()) {
+  return static_cast<int>(
+      parse_int_in(text, line, lo, std::numeric_limits<int>::max()));
+}
+
+/// A count or server index: never negative.
+std::size_t parse_count(const std::string& text, int line) {
+  return static_cast<std::size_t>(
+      parse_int_in(text, line, 0, std::numeric_limits<long>::max()));
+}
+
 bool parse_bool(const std::string& text, int line) {
   if (text == "true" || text == "1" || text == "yes") return true;
   if (text == "false" || text == "0" || text == "no") return false;
@@ -143,7 +168,7 @@ std::string trim(const std::string& s) {
 SimConfig parse_scenario(std::istream& in) {
   SimConfig cfg;
   // Hot-zone directives are applied after layout keys are known.
-  long hot_zone_servers = 0;
+  std::size_t hot_zone_servers = 0;
   double hot_ambient_c = 40.0;
   // Default to the paper's constants; scenario keys can override them.
   cfg.datacenter.server.thermal.c1 = 0.08;
@@ -184,14 +209,11 @@ SimConfig parse_scenario(std::istream& in) {
     } else if (key == "measure_ticks") {
       cfg.measure_ticks = parse_long(value, line);
     } else if (key == "zones") {
-      cfg.datacenter.layout.zones =
-          static_cast<std::size_t>(parse_long(value, line));
+      cfg.datacenter.layout.zones = parse_count(value, line);
     } else if (key == "racks_per_zone") {
-      cfg.datacenter.layout.racks_per_zone =
-          static_cast<std::size_t>(parse_long(value, line));
+      cfg.datacenter.layout.racks_per_zone = parse_count(value, line);
     } else if (key == "servers_per_rack") {
-      cfg.datacenter.layout.servers_per_rack =
-          static_cast<std::size_t>(parse_long(value, line));
+      cfg.datacenter.layout.servers_per_rack = parse_count(value, line);
     } else if (key == "smoothing_alpha") {
       cfg.datacenter.smoothing_alpha = parse_double(value, line);
     } else if (key == "thermal_c1") {
@@ -208,7 +230,7 @@ SimConfig parse_scenario(std::istream& in) {
       cfg.datacenter.server.thermal.nameplate =
           Watts{parse_double(value, line)};
     } else if (key == "hot_zone_servers") {
-      hot_zone_servers = parse_long(value, line);
+      hot_zone_servers = parse_count(value, line);
     } else if (key == "hot_ambient_c") {
       hot_ambient_c = parse_double(value, line);
     } else if (key == "margin_w") {
@@ -216,9 +238,9 @@ SimConfig parse_scenario(std::istream& in) {
     } else if (key == "migration_cost_w") {
       cfg.controller.migration_cost = Watts{parse_double(value, line)};
     } else if (key == "eta1") {
-      cfg.controller.eta1 = static_cast<int>(parse_long(value, line));
+      cfg.controller.eta1 = parse_int(value, line);
     } else if (key == "eta2") {
-      cfg.controller.eta2 = static_cast<int>(parse_long(value, line));
+      cfg.controller.eta2 = parse_int(value, line);
     } else if (key == "consolidation_threshold") {
       cfg.controller.consolidation_threshold = parse_double(value, line);
     } else if (key == "packing") {
@@ -247,7 +269,7 @@ SimConfig parse_scenario(std::istream& in) {
     } else if (key == "degraded_service_level") {
       cfg.controller.degraded_service_level = parse_double(value, line);
     } else if (key == "priority_levels") {
-      cfg.mix.priority_levels = static_cast<int>(parse_long(value, line));
+      cfg.mix.priority_levels = parse_int(value, line, 0);
     } else if (key == "demand_quantum_w") {
       cfg.demand_quantum = Watts{parse_double(value, line)};
     } else if (key == "ipc_chain_fraction") {
@@ -300,9 +322,7 @@ SimConfig parse_scenario(std::istream& in) {
     } else if (key == "report_deadband_w") {
       cfg.controller.report_deadband = Watts{parse_double(value, line)};
     } else if (key == "threads") {
-      const long v = parse_long(value, line);
-      if (v < 0) fail(line, "threads must be >= 0");
-      cfg.threads = static_cast<std::size_t>(v);
+      cfg.threads = parse_count(value, line);
     } else if (key == "migration_periods_per_gib") {
       cfg.controller.migration_periods_per_gib = parse_double(value, line);
     } else if (key == "rack_circuit_w") {
@@ -351,8 +371,8 @@ SimConfig parse_scenario(std::istream& in) {
       }
       fault::CrashEvent ev;
       ev.tick = parse_long(words[0], line);
-      ev.first_server = static_cast<std::size_t>(parse_long(words[1], line));
-      ev.last_server = static_cast<std::size_t>(parse_long(words[2], line));
+      ev.first_server = parse_count(words[1], line);
+      ev.last_server = parse_count(words[2], line);
       if (words.size() == 4) ev.down_ticks = parse_long(words[3], line);
       cfg.faults.crash_events.push_back(ev);
     } else if (key == "ups_failure") {
@@ -379,12 +399,11 @@ SimConfig parse_scenario(std::istream& in) {
         fail(line, e.what());
       }
     } else if (key == "stale_timeout_ticks") {
-      cfg.controller.stale_timeout_ticks = parse_long(value, line);
+      cfg.controller.stale_timeout_ticks = parse_int(value, line);
     } else if (key == "stale_decay") {
       cfg.controller.stale_decay = parse_double(value, line);
     } else if (key == "directive_retry_limit") {
-      cfg.controller.directive_retry_limit =
-          static_cast<int>(parse_long(value, line));
+      cfg.controller.directive_retry_limit = parse_int(value, line);
     } else {
       fail(line, "unknown key '" + key + "'");
     }
@@ -392,13 +411,12 @@ SimConfig parse_scenario(std::istream& in) {
 
   if (hot_zone_servers > 0) {
     const auto total = cfg.datacenter.layout.total_servers();
-    if (static_cast<std::size_t>(hot_zone_servers) > total) {
+    if (hot_zone_servers > total) {
       throw std::runtime_error("scenario: hot_zone_servers exceeds fleet size");
     }
     cfg.datacenter.ambient_overrides.assign(
         total, cfg.datacenter.server.thermal.ambient);
-    for (std::size_t i = total - static_cast<std::size_t>(hot_zone_servers);
-         i < total; ++i) {
+    for (std::size_t i = total - hot_zone_servers; i < total; ++i) {
       cfg.datacenter.ambient_overrides[i] = util::Celsius{hot_ambient_c};
     }
   }

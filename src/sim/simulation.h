@@ -83,8 +83,8 @@ struct SimConfig {
   /// Controller parameters (ΔD/η1/η2/margins/packing...).
   core::ControllerConfig controller{};
   /// Incremental (change-driven) control plane: dirty-set demand
-  /// aggregation, memoized budget divisions, epoch-stamped consolidation
-  /// candidates and packing reuse.  Semantically identical to the full
+  /// aggregation, memoized budget divisions and the consolidation root
+  /// failure cache and capacity index.  Semantically identical to the full
   /// recompute — same budgets, migrations and event trace; the scenario
   /// knob exists so benchmarks and A/B runs can flip the walk policy
   /// without touching the nested controller config (copied onto

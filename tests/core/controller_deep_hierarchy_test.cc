@@ -162,6 +162,73 @@ TEST(DeepHierarchy, DisabledRuleAllowsCrossZone) {
   EXPECT_TRUE(crossed_zone) << "zone 1's idle rack should absorb overflow";
 }
 
+/// Fleet-scope consolidation under a supply cut: zone 1 is budget-reduced
+/// and in deficit, yet its rack 1 servers keep a surplus; zone 0's only
+/// berth-less candidate (s000) could drain nowhere else.  Returns the
+/// consolidation migrations of the ΔA tick that follows the ΔS cut.
+struct CutDrain {
+  std::vector<MigrationRecord> consolidations;
+  std::uint64_t fast_path_verdicts = 0;
+  std::uint64_t shadow_checks = 0;
+  std::uint64_t shadow_mismatches = 0;
+  bool zone1_reduced_in_deficit = false;
+};
+
+CutDrain drain_after_cut(bool enforce_unidirectional) {
+  DeepFixture f;
+  f.host(f.server[0][0][0], 10.0);  // 20 W: the consolidation candidate
+  f.host(f.server[0][0][1], 89.0);  // 99 W: no surplus beyond the margin
+  f.host(f.server[0][1][0], 89.0);
+  f.host(f.server[0][1][1], 89.0);
+  f.host(f.server[1][0][0], 150.0);  // 160 W: deficits no server can take
+  f.host(f.server[1][0][1], 150.0);
+  f.host(f.server[1][1][0], 40.0);  // 50 W: 48 W of berth each
+  f.host(f.server[1][1][1], 40.0);
+  ControllerConfig cfg = f.config();
+  cfg.consolidation_threshold = 0.05;  // only s000 qualifies
+  cfg.allow_drop = false;              // keep zone 1's deficit standing
+  cfg.enforce_unidirectional = enforce_unidirectional;
+  cfg.shadow_diff = true;  // the capacity index is checked against dry_run
+  Controller ctl(f.cluster, cfg);
+  obs::EventBus bus;
+  ctl.set_event_bus(&bus);
+  for (int t = 1; t <= 3; ++t) ctl.tick(Watts{1600.0});  // 200 W per server
+  for (int t = 4; t <= 7; ++t) {
+    // Tick 4 is a ΔS pass (100 W per server), tick 7 the next ΔA pass.
+    ctl.tick(Watts{800.0});
+  }
+  CutDrain out;
+  out.zone1_reduced_in_deficit =
+      ctl.budget_reduced(f.zone[1]) &&
+      reported_deficit(f.cluster.tree().node(f.zone[1])).value() > 0.0;
+  for (const auto& rec : ctl.migrations_this_tick()) {
+    if (rec.cause != MigrationCause::kConsolidation) continue;
+    EXPECT_EQ(rec.from, f.server[0][0][0]);
+    if (f.in_zone(rec.to, 1)) out.consolidations.push_back(rec);
+  }
+  const auto m = bus.metrics().snapshot();
+  out.fast_path_verdicts = m.counter_or_zero("control.consol_batched");
+  out.shadow_checks = m.counter_or_zero("control.shadow_checks");
+  out.shadow_mismatches = m.counter_or_zero("control.shadow_mismatches");
+  return out;
+}
+
+TEST(DeepHierarchy, FleetConsolidationHonoursUnidirectionalRule) {
+  const CutDrain enforced = drain_after_cut(true);
+  ASSERT_TRUE(enforced.zone1_reduced_in_deficit);
+  EXPECT_GT(enforced.fast_path_verdicts, 0u) << "no fleet-scope verdict ran";
+  EXPECT_GT(enforced.shadow_checks, 0u);
+  EXPECT_EQ(enforced.shadow_mismatches, 0u);
+  EXPECT_TRUE(enforced.consolidations.empty())
+      << "a consolidation drained into the reduced, deficient zone 1";
+
+  // The same pass without the rule drains s000 into zone 1's surplus.
+  const CutDrain free = drain_after_cut(false);
+  EXPECT_GT(free.fast_path_verdicts, 0u);
+  EXPECT_EQ(free.shadow_mismatches, 0u);
+  EXPECT_FALSE(free.consolidations.empty());
+}
+
 TEST(DeepHierarchy, Property3HoldsAcrossFourLevels) {
   DeepFixture f;
   f.host(f.server[0][0][0], 50.0);

@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "core/controller.h"
+#include "obs/sink.h"
 
 namespace willow::core {
 namespace {
@@ -208,11 +210,15 @@ TEST(Wake, OrderIsDescendingHardLimitThenIdAcrossBatches) {
     cluster.place(Application(ids.next(), 0, 100_W, 512_MB), busy);
   }
   Controller ctl(cluster, ControllerConfig{});
+  obs::EventBus bus;
+  const auto sink = std::make_shared<obs::RingBufferSink>(4096);
+  bus.add_sink(sink);
+  ctl.set_event_bus(&bus);
   ctl.tick(Watts{10000.0});
 
   std::vector<NodeId> woken;
-  for (const auto& e : ctl.events_this_tick()) {
-    if (e.kind == EventKind::kWake) woken.push_back(e.node);
+  for (const auto& e : sink->events()) {
+    if (e.type == obs::EventType::kWake) woken.push_back(e.node);
   }
   ASSERT_EQ(woken.size(), 7u) << "expected batches of 1, 2 and 4 servers";
   std::sort(pool.begin(), pool.end(), [](const auto& a, const auto& b) {

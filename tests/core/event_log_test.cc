@@ -1,8 +1,11 @@
-// The controller's per-tick decision log: every action appears, in order,
-// with a readable rendering.
+// The controller's decisions on the event bus: every action appears, in
+// order, as a typed event.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/controller.h"
+#include "obs/sink.h"
 
 namespace willow::core {
 namespace {
@@ -48,42 +51,59 @@ struct Fixture {
   }
 };
 
-std::size_t count(const std::vector<ControlEvent>& events, EventKind kind) {
-  std::size_t n = 0;
-  for (const auto& e : events) n += e.kind == kind ? 1 : 0;
-  return n;
-}
+/// A controller wired to a bus whose ring buffer holds one tick's events.
+struct Traced {
+  obs::EventBus bus;
+  std::shared_ptr<obs::RingBufferSink> sink =
+      std::make_shared<obs::RingBufferSink>(4096);
+  Controller ctl;
+
+  Traced(Cluster& cluster, const ControllerConfig& cfg) : ctl(cluster, cfg) {
+    bus.add_sink(sink);
+    ctl.set_event_bus(&bus);
+  }
+
+  void tick(Watts supply) {
+    sink->clear();
+    ctl.tick(supply);
+  }
+
+  [[nodiscard]] std::size_t count(obs::EventType type) const {
+    std::size_t n = 0;
+    for (const auto& e : sink->events()) n += e.type == type ? 1 : 0;
+    return n;
+  }
+};
 
 TEST(EventLog, MigrationInitiatedRecorded) {
   Fixture f;
   const auto app = f.host(f.s00, 50.0);
   f.host(f.s00, 50.0);
-  Controller ctl(f.cluster, f.config());
-  ctl.tick(200_W);
-  const auto& events = ctl.events_this_tick();
-  ASSERT_EQ(count(events, EventKind::kMigrationInitiated), 1u);
-  const auto& e = events.front();
-  EXPECT_EQ(e.kind, EventKind::kMigrationInitiated);
-  EXPECT_EQ(e.node, f.s00);
-  EXPECT_EQ(e.node2, f.s01);
-  EXPECT_EQ(e.tick, 1);
-  EXPECT_TRUE(e.app == app || e.app != 0);
-  EXPECT_DOUBLE_EQ(e.amount.value(), 50.0);
+  Traced t(f.cluster, f.config());
+  t.tick(200_W);
+  ASSERT_EQ(t.count(obs::EventType::kMigration), 1u);
+  for (const auto& e : t.sink->events()) {
+    if (e.type != obs::EventType::kMigration) continue;
+    EXPECT_EQ(e.node, f.s00);
+    EXPECT_EQ(e.node2, f.s01);
+    EXPECT_TRUE(e.app == app || e.app != 0);
+    EXPECT_DOUBLE_EQ(e.value, 50.0);
+  }
 }
 
 TEST(EventLog, DropAndReviveRecorded) {
   Fixture f;
   f.host(f.s00, 100.0);
   f.host(f.s01, 100.0);
-  Controller ctl(f.cluster, f.config());
-  ctl.tick(100_W);  // starve: drops
-  EXPECT_GT(count(ctl.events_this_tick(), EventKind::kDrop), 0u);
-  for (int t = 0; t < 8; ++t) {
+  Traced t(f.cluster, f.config());
+  t.tick(100_W);  // starve: drops
+  EXPECT_GT(t.count(obs::EventType::kDrop), 0u);
+  for (int i = 0; i < 8; ++i) {
     f.cluster.refresh_demands_constant();
-    ctl.tick(400_W);
-    if (count(ctl.events_this_tick(), EventKind::kRevive) > 0) break;
+    t.tick(400_W);
+    if (t.count(obs::EventType::kRevive) > 0) break;
   }
-  EXPECT_GT(ctl.stats().revivals, 0u);
+  EXPECT_GT(t.ctl.stats().revivals, 0u);
 }
 
 TEST(EventLog, DegradeAndRestoreRecorded) {
@@ -92,14 +112,14 @@ TEST(EventLog, DegradeAndRestoreRecorded) {
   f.host(f.s01, 100.0);
   ControllerConfig cfg = f.config();
   cfg.shedding = SheddingPolicy::kDegradeThenDrop;
-  Controller ctl(f.cluster, cfg);
-  ctl.tick(140_W);
-  EXPECT_GT(count(ctl.events_this_tick(), EventKind::kDegrade), 0u);
+  Traced t(f.cluster, cfg);
+  t.tick(140_W);
+  EXPECT_GT(t.count(obs::EventType::kDegrade), 0u);
   std::size_t restores = 0;
-  for (int t = 0; t < 8; ++t) {
+  for (int i = 0; i < 8; ++i) {
     f.cluster.refresh_demands_constant();
-    ctl.tick(400_W);
-    restores += count(ctl.events_this_tick(), EventKind::kRestore);
+    t.tick(400_W);
+    restores += t.count(obs::EventType::kRestore);
   }
   EXPECT_GT(restores, 0u);
 }
@@ -108,11 +128,11 @@ TEST(EventLog, SleepRecordedAtConsolidation) {
   Fixture f;
   f.host(f.s00, 170.0);
   f.host(f.s01, 20.0);
-  Controller ctl(f.cluster, f.config());
+  Traced t(f.cluster, f.config());
   std::size_t sleeps = 0;
-  for (int t = 1; t <= 7; ++t) {
-    ctl.tick(880_W);
-    sleeps += count(ctl.events_this_tick(), EventKind::kSleep);
+  for (int i = 1; i <= 7; ++i) {
+    t.tick(880_W);
+    sleeps += t.count(obs::EventType::kSleep);
   }
   EXPECT_EQ(sleeps, 1u);
 }
@@ -123,48 +143,16 @@ TEST(EventLog, CompletedEventInLatencyMode) {
   f.host(f.s00, 50.0);
   ControllerConfig cfg = f.config();
   cfg.migration_periods_per_gib = 2.0;  // 512 MB image -> 1 period
-  Controller ctl(f.cluster, cfg);
-  ctl.tick(200_W);
-  ASSERT_EQ(count(ctl.events_this_tick(), EventKind::kMigrationInitiated), 1u);
+  Traced t(f.cluster, cfg);
+  t.tick(200_W);
+  ASSERT_EQ(t.count(obs::EventType::kMigration), 1u);
   std::size_t completed = 0;
-  for (int t = 0; t < 3; ++t) {
+  for (int i = 0; i < 3; ++i) {
     f.cluster.refresh_demands_constant();
-    ctl.tick(200_W);
-    completed += count(ctl.events_this_tick(), EventKind::kMigrationCompleted);
+    t.tick(200_W);
+    completed += t.count(obs::EventType::kMigrationLanded);
   }
   EXPECT_EQ(completed, 1u);
-}
-
-TEST(EventLog, ClearedEachTick) {
-  Fixture f;
-  f.host(f.s00, 50.0);
-  f.host(f.s00, 50.0);
-  Controller ctl(f.cluster, f.config());
-  ctl.tick(200_W);
-  ASSERT_FALSE(ctl.events_this_tick().empty());
-  f.cluster.refresh_demands_constant();
-  ctl.tick(200_W);  // steady state: nothing to do
-  EXPECT_TRUE(ctl.events_this_tick().empty());
-}
-
-TEST(EventLog, ToStringRendersEveryKind) {
-  ControlEvent e;
-  e.tick = 3;
-  e.app = 7;
-  e.node = 2;
-  e.node2 = 5;
-  e.amount = 12_W;
-  for (auto kind : {EventKind::kMigrationInitiated,
-                    EventKind::kMigrationCompleted, EventKind::kDrop,
-                    EventKind::kDegrade, EventKind::kRevive,
-                    EventKind::kRestore, EventKind::kSleep, EventKind::kWake}) {
-    e.kind = kind;
-    const std::string text = to_string(e);
-    EXPECT_NE(text.find("t=3"), std::string::npos);
-    EXPECT_FALSE(text.empty());
-  }
-  e.kind = EventKind::kDrop;
-  EXPECT_NE(to_string(e).find("drop app 7"), std::string::npos);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
 
 namespace willow::sim {
 namespace {
@@ -162,12 +164,21 @@ TEST(ScenarioIo, IpcAndWorkloadKeys) {
 }
 
 TEST(ScenarioIo, ErrorsCarryLineNumbers) {
-  try {
-    parse("utilization = 0.5\nbogus_key = 3\n");
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("bogus_key"), std::string::npos);
+  // An unknown key, and an integer outside its field's range (rejected by
+  // the parser, not left to wrap before validation).
+  for (const auto& [text, word] :
+       {std::pair<std::string, std::string>{
+            "utilization = 0.5\nbogus_key = 3\n", "bogus_key"},
+        {"seed = 1\nzones = -1\n", "-1"}}) {
+    try {
+      parse(text);
+      FAIL() << "expected throw: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(word), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -184,6 +195,14 @@ TEST(ScenarioIo, MalformedInputsFail) {
   EXPECT_THROW(parse("margin_w = nan\n"), std::runtime_error);      // NaN
   EXPECT_THROW(parse("utilization = inf\n"), std::runtime_error);   // infinite
   EXPECT_THROW(parse("warmup_ticks = 1e30\n"), std::runtime_error); // > long
+  // Integer keys are range-checked before they narrow to their field.
+  EXPECT_THROW(parse("zones = -1\n"), std::runtime_error);           // count
+  EXPECT_THROW(parse("eta1 = 4294967297\n"), std::runtime_error);    // > int
+  EXPECT_THROW(parse("stale_timeout_ticks = 4294967297\n"),
+               std::runtime_error);                                  // > int
+  EXPECT_THROW(parse("priority_levels = -3\n"), std::runtime_error);
+  EXPECT_THROW(parse("hot_zone_servers = -5\n"), std::runtime_error);
+  EXPECT_THROW(parse("crash_event = 5 -1 -1\n"), std::runtime_error); // index
   // Cross-field validation still applies (eta2 must exceed eta1).
   EXPECT_THROW(parse("eta1 = 7\neta2 = 7\n"), std::runtime_error);
 }
