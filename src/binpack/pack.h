@@ -17,10 +17,13 @@
 // bin has size 1, (2) first-fit the demands in decreasing order into virtual
 // unit bins, (3) repeat until all demands are handled, (4) repack the
 // contents of each virtual bin into the smallest feasible real bin.  A final
-// first-fit pass places any leftovers into residual capacity.
+// best-fit pass places any leftovers into residual capacity.  Both walk a
+// CapacityIndex, which callers with their own bins can pass to ffdlr().
 #pragma once
 
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 namespace willow::binpack {
@@ -64,11 +67,7 @@ enum class Algorithm {
 };
 
 /// The float boundary every packing judgment uses: `capacity` can absorb
-/// `size` when capacity + kCapacityEps >= size.  Exposed so callers that
-/// reproduce pack()'s decisions against their own bin structures (the
-/// controller's consolidation capacity index) judge the boundary with the
-/// same epsilon and the same arithmetic form — a different form can flip a
-/// verdict within a few ulps of the boundary.
+/// `size` when capacity + kCapacityEps >= size.
 inline constexpr double kCapacityEps = 1e-9;
 [[nodiscard]] inline bool fits(double capacity, double size) {
   return capacity + kCapacityEps >= size;
@@ -79,31 +78,33 @@ inline constexpr double kCapacityEps = 1e-9;
 PackResult pack(const std::vector<Item>& items, const std::vector<Bin>& bins,
                 Algorithm algorithm);
 
-/// One virtual bin from FFDLR's steps 2+3: the items first-fit into it (in
-/// placement order) and their summed size.
-struct VirtualGroup {
-  double content = 0.0;
-  std::vector<std::size_t> items;  ///< indices into the input items
+/// Bins as (capacity, key) pairs, ordered by capacity and then key: FFDLR's
+/// real-bin order, with keys ranked like input positions.  pack(kFfdlr)
+/// indexes its bins by input position; a caller that keeps its bins
+/// point-updated across many packings passes its own index.  Keys are small
+/// integers below UINT32_MAX (ffdlr() keeps a flag per key).
+using CapacityIndex = std::set<std::pair<double, std::uint32_t>>;
+
+/// The outcome of one ffdlr() call.  The scratch keeps its storage across
+/// calls, so a caller that packs repeatedly reuses one plan.
+struct FfdlrPlan {
+  /// In placement order; `bin` holds the index key, not an input position.
+  std::vector<Assignment> assignments;
+  /// Items larger than every bin (in decreasing size), then the items the
+  /// final best-fit pass could not place.
+  std::vector<std::size_t> unplaced;
+  /// Scratch: bins used so far as (key, residual) in first-use order, a
+  /// used flag per key, and the items left for the final pass.
+  std::vector<std::pair<std::uint32_t, double>> touched;
+  std::vector<char> used;
+  std::vector<std::size_t> leftovers;
 };
 
-/// The outcome of FFDLR's virtual-bin phase against largest-bin size `cmax`.
-struct VirtualGroups {
-  /// Groups in the exact order step 4 repacks them: content descending,
-  /// equal contents broken by lower leading item index.
-  std::vector<VirtualGroup> groups;
-  /// Items larger than cmax (+eps) that can never be placed, in decreasing
-  /// size order — the order pack() reports them unplaced.
-  std::vector<std::size_t> oversized;
-};
-
-/// FFDLR steps 2+3 in isolation: first-fit the items, in decreasing order,
-/// into virtual bins of capacity `cmax`, and sort the resulting groups the
-/// way step 4 consumes them.  pack(kFfdlr) is built on this; it is exposed
-/// so callers that maintain their own capacity-ordered bin index (the
-/// controller's consolidation fast path) can reproduce pack()'s group
-/// placement bitwise without materializing the bin vector.
-VirtualGroups ffdlr_virtual_groups(const std::vector<Item>& items,
-                                   double cmax);
+/// FFDLR's placement of `items` over the bins in `index`, leaving the bin
+/// keyed `skip` unused; pack(kFfdlr) is this over an index of its own bins.
+/// Returns whether every item placed.
+bool ffdlr(const std::vector<Item>& items, const CapacityIndex& index,
+           std::uint32_t skip, FfdlrPlan& plan);
 
 /// Validate a result against its inputs: every assignment in range, no item
 /// assigned twice, no bin over capacity, placed_size/bins_touched coherent.

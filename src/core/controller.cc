@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 
 #include "core/allocation.h"
@@ -1459,7 +1458,7 @@ void Controller::drain_candidate(std::size_t k) {
 
 bool Controller::run_scope(NodeId candidate,
                            const std::vector<PlanItem>& items, NodeId scope) {
-  // The capacity index replays FFDLR only; other packers take the dry run.
+  // Only FFDLR runs over the capacity index; other packers take the dry run.
   if (config_.incremental && config_.packing == binpack::Algorithm::kFfdlr &&
       scope == cluster_.tree().root()) {
     const bool verdict = fast_root_pack(candidate, items);
@@ -1504,26 +1503,19 @@ void Controller::shadow_check_fast_root_pack(
 }
 
 void Controller::build_consol_index() {
-  // At fleet scope every candidate's dry run used to rescan all servers and
-  // recompute every target capacity: O(candidates × fleet) per consolidate.
-  // Within one consolidate() call the inputs of target_capacity() and
-  // eligible_target() are stable — budgets, reported demands and the
-  // budget_reduced_ flags only move in the report/distribution sweeps —
-  // except for the watts a migration books on its target
-  // (absorbed_w_/reserved_in_w_) and servers this pass puts to sleep.  So one
-  // (capacity, server)-ordered index, point-updated after each apply,
-  // reproduces pack()'s real-bin order for every candidate: capacity
-  // ascending, bin index ascending, where bin index order is creation order
-  // is ascending NodeId.  Built lazily on the first fleet-scope dry run, so a
-  // settled fleet (all verdicts cached) pays nothing; under churn the batched
-  // drain point-updates it thousands of times per pass, hence the std::set.
+  // Without the index every fleet-scope dry run rescans all servers:
+  // O(candidates × fleet) per consolidate.  Within one consolidate() call
+  // target_capacity() and eligible_target() move only with the watts a
+  // migration books on its target and the servers put to sleep, so one
+  // (capacity, NodeId)-ordered index, point-updated after each apply, is
+  // pack()'s real-bin order for every candidate (DESIGN.md §10).  Built
+  // lazily, so a settled fleet (all verdicts cached) pays nothing.
   const auto& tree = cluster_.tree();
   const NodeId root = tree.root();
   const auto& sids = cluster_.server_ids();
   const std::size_t count = sids.size();
-  // Fill a flat scratch first and feed the set with hinted end-inserts:
-  // O(n log n) sort + O(n) tree construction instead of n log n node-by-node
-  // insertions with cold-cache rebalancing.
+  // A sorted flat scratch feeds the set in O(n) (the range constructor is
+  // linear on sorted input) instead of n rebalancing insertions.
   auto& flat = consol_index_build_scratch_;
   flat.clear();
   consol_cap_of_.assign(count, -1.0);
@@ -1537,10 +1529,7 @@ void Controller::build_consol_index() {
     }
   }
   std::sort(flat.begin(), flat.end());
-  consol_cap_index_.clear();
-  for (const auto& entry : flat) {
-    consol_cap_index_.insert(consol_cap_index_.end(), entry);
-  }
+  consol_cap_index_ = binpack::CapacityIndex(flat.begin(), flat.end());
   consol_index_built_ = true;
 }
 
@@ -1582,140 +1571,17 @@ void Controller::put_to_sleep(NodeId server) {
 
 bool Controller::fast_root_pack(NodeId candidate,
                                 const std::vector<PlanItem>& items) {
-  // Reproduce pack(kFfdlr)'s fleet-scope verdict from the shared capacity
-  // index instead of rebuilding all fleet bins per candidate.  The virtual
-  // groups depend only on the items and cmax; each group then lands in the
-  // first unused index entry with capacity + eps >= content — the bin pack()
-  // would pick, because the index order equals pack()'s real-bin order.
-  // Groups that fit no single unused bin spill into pack()'s final best-fit
-  // pass, replayed here over the index plus the residuals of already-touched
-  // bins, so every verdict is two-valued: true = placed-all (plan in
-  // fast_assign_scratch_, pack()'s emission order), false = pack() would
-  // leave something unplaced.
+  // pack(kFfdlr) over the shared index instead of all fleet bins rebuilt
+  // per candidate; the candidate is the bin to skip.
   if (!consol_index_built_) build_consol_index();
-  double cmax = 0.0;
-  for (auto it = consol_cap_index_.rbegin(); it != consol_cap_index_.rend();
-       ++it) {
-    if (it->second != candidate) {
-      cmax = it->first;
-      break;
-    }
-  }
-  if (cmax <= 0.0) return false;  // no usable bin anywhere in the fleet
   to_pack_items(items, pack_buf_.items);
-  const binpack::VirtualGroups vg =
-      binpack::ffdlr_virtual_groups(pack_buf_.items, cmax);
-  if (!vg.oversized.empty()) return false;  // unplaceable regardless
+  const bool placed_all = binpack::ffdlr(pack_buf_.items, consol_cap_index_,
+                                         candidate, fast_plan_);
   fast_assign_scratch_.clear();
-  // Bins this plan already used, as (node, residual) in touch order, and
-  // the items that fell out of whole-group placement.  Both are tiny
-  // (bounded by the candidate's app count), so linear membership scans
-  // beat any indexed structure.
-  auto& leftovers = fast_leftover_scratch_;
-  fast_touched_scratch_.clear();
-  leftovers.clear();
-  for (const auto& g : vg.groups) {
-    // Start at the first entry that could pass capacity + eps >= content
-    // (the two boundary forms differ far below eps at watt magnitudes)
-    // and advance with pack()'s exact predicate.
-    auto it = consol_cap_index_.lower_bound(
-        std::pair<double, NodeId>{g.content - 2 * kEps, NodeId{0}});
-    NodeId chosen = hier::kNoNode;
-    double chosen_cap = 0.0;
-    for (; it != consol_cap_index_.end(); ++it) {
-      if (!binpack::fits(it->first, g.content)) continue;
-      if (it->second == candidate || fast_touched(it->second)) continue;
-      chosen = it->second;
-      chosen_cap = it->first;
-      break;
-    }
-    if (chosen == hier::kNoNode) {
-      // No single unused bin holds the whole group; its items retry
-      // singly below, exactly as pack() spills them.
-      leftovers.insert(leftovers.end(), g.items.begin(), g.items.end());
-      continue;
-    }
-    double residual = chosen_cap;
-    for (const std::size_t item : g.items) {
-      fast_assign_scratch_.emplace_back(item, chosen);
-      // Sequential subtraction, like MutableBins::place — the running
-      // residual must match pack()'s bits, and float subtraction is not
-      // associative.
-      residual -= items[item].size.value();
-    }
-    fast_touched_scratch_.emplace_back(chosen, residual);
+  for (const auto& a : fast_plan_.assignments) {
+    fast_assign_scratch_.emplace_back(a.item, static_cast<NodeId>(a.bin));
   }
-  return leftovers.empty() || fast_root_best_fit(candidate, items);
-}
-
-bool Controller::fast_touched(NodeId target) const {
-  for (const auto& e : fast_touched_scratch_) {
-    if (e.first == target) return true;
-  }
-  return false;
-}
-
-bool Controller::fast_root_best_fit(NodeId candidate,
-                                    const std::vector<PlanItem>& items) {
-  // pack()'s final pass: leftovers re-sorted globally (size descending,
-  // input index ascending), each best-fit into the minimal feasible
-  // slack; ties go to the lowest bin input index, i.e. lowest NodeId.
-  auto& leftovers = fast_leftover_scratch_;
-  auto& touched = fast_touched_scratch_;
-  std::stable_sort(leftovers.begin(), leftovers.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     if (items[a].size.value() != items[b].size.value()) {
-                       return items[a].size.value() > items[b].size.value();
-                     }
-                     return a < b;
-                   });
-  for (const std::size_t item : leftovers) {
-    const double size = items[item].size.value();
-    NodeId chosen = hier::kNoNode;
-    double best = std::numeric_limits<double>::infinity();
-    // Best untouched bin: capacity order makes slack monotone, so the
-    // first feasible entry minimizes it.  Entries whose slack rounds to
-    // the same double form a contiguous run (fl(x - size) is monotone in
-    // x); scan the run for the lowest NodeId, because pack()'s
-    // input-order scan keeps the first — lowest-NodeId — minimal bin.
-    auto it = consol_cap_index_.lower_bound(
-        std::pair<double, NodeId>{size - 2 * kEps, NodeId{0}});
-    for (; it != consol_cap_index_.end(); ++it) {
-      const double slack = it->first - size;  // pack()'s exact slack form
-      if (!(slack >= -kEps)) continue;
-      if (it->second == candidate || fast_touched(it->second)) continue;
-      if (chosen == hier::kNoNode) {
-        best = slack;
-        chosen = it->second;
-      } else if (slack == best) {
-        if (it->second < chosen) chosen = it->second;
-      } else {
-        break;  // slack only grows from here
-      }
-    }
-    // Touched bins compete with their shrunken residuals under the same
-    // (slack, NodeId) minimization.
-    std::size_t chosen_touched = touched.size();
-    for (std::size_t ti = 0; ti < touched.size(); ++ti) {
-      const double slack = touched[ti].second - size;
-      if (!(slack >= -kEps)) continue;
-      if (slack < best || (slack == best && touched[ti].first < chosen)) {
-        best = slack;
-        chosen = touched[ti].first;
-        chosen_touched = ti;
-      }
-    }
-    if (chosen == hier::kNoNode) return false;  // fits nowhere: not all placed
-    fast_assign_scratch_.emplace_back(item, chosen);
-    if (chosen_touched < touched.size()) {
-      touched[chosen_touched].second -= size;
-    } else {
-      // First subtraction from an untouched bin is capacity - size,
-      // which is exactly the slack already computed.
-      touched.emplace_back(chosen, best);
-    }
-  }
-  return true;
+  return placed_all;
 }
 
 void Controller::revive_dropped() {

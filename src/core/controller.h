@@ -30,7 +30,6 @@
 #pragma once
 
 #include <functional>
-#include <set>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -388,15 +387,11 @@ class Controller {
   /// target; the plan lands in `plan`.  Returns whether every item placed.
   bool dry_run(NodeId candidate, const std::vector<PlanItem>& items,
                NodeId scope, PackBuffers& buf, Assignment& plan) const;
-  /// Fleet-scope verdict from the capacity index, bitwise equal to
-  /// dry_run(candidate, items, root) (see consol_cap_index_).
+  /// Fleet-scope verdict: binpack's FFDLR over the capacity index, bitwise
+  /// equal to dry_run(candidate, items, root) (see consol_cap_index_).
   bool fast_root_pack(NodeId candidate, const std::vector<PlanItem>& items);
-  /// fast_root_pack's replay of pack()'s final best-fit pass over the items
-  /// in fast_leftover_scratch_.  Returns whether all of them placed.
-  bool fast_root_best_fit(NodeId candidate,
-                          const std::vector<PlanItem>& items);
-  /// The bin was already used by the current fast_root_pack plan.
-  [[nodiscard]] bool fast_touched(NodeId target) const;
+  /// Shadow mode: the point-updated index must pack like a fresh collect of
+  /// targets, i.e. dry_run at the root.
   void shadow_check_fast_root_pack(NodeId candidate,
                                    const std::vector<PlanItem>& items,
                                    bool verdict);
@@ -686,26 +681,18 @@ class Controller {
 
   /// Consolidation fleet-scope fast path (valid only within one
   /// consolidate() call; see build_consol_index()).  The capacity index
-  /// holds every (active, root-eligible, capacity > eps) server except none
-  /// — candidates skip themselves at pack time — ordered by (capacity,
-  /// NodeId), which is exactly FFDLR's real-bin order when bins are
-  /// enumerated in creation order.  An ordered set rather than a sorted
-  /// vector: the batched drain point-updates the index after every applied
-  /// migration and sleep, and under churn those point deltas number in the
-  /// thousands per pass — O(log fleet) node surgery instead of O(fleet)
-  /// vector memmoves.
-  /// `consol_cap_of_` remembers each slot's indexed key so point updates can
-  /// erase it after a migration changes the capacity.
-  std::set<std::pair<double, NodeId>> consol_cap_index_;
+  /// holds every (active, root-eligible, capacity > eps) server, ordered by
+  /// (capacity, NodeId): FFDLR's real-bin order, so binpack::ffdlr packs
+  /// over it directly, skipping the candidate.  A set, not a sorted vector:
+  /// the drain point-updates it after every migration and sleep, thousands
+  /// of times per pass under churn.  `consol_cap_of_` remembers each slot's
+  /// indexed key so a point update can erase it.
+  binpack::CapacityIndex consol_cap_index_;
   std::vector<std::pair<double, NodeId>> consol_index_build_scratch_;
   std::vector<double> consol_cap_of_;  ///< by slot; <0 = not indexed
   bool consol_index_built_ = false;
+  binpack::FfdlrPlan fast_plan_;
   Assignment fast_assign_scratch_;
-  /// Fast-path pack scratch: bins the current candidate's plan already
-  /// touched, as (target, residual) in touch order, and the item indices that
-  /// fell out of whole-group placement (pack()'s leftover best-fit inputs).
-  std::vector<std::pair<NodeId, double>> fast_touched_scratch_;
-  std::vector<std::size_t> fast_leftover_scratch_;
 
   /// Per-candidate drain plan, one slot per consol_order_ position, reused
   /// across ΔA passes (inner vectors keep their capacity — this is also where

@@ -16,8 +16,7 @@
 // The bus stamps every event with the current tick (set_tick) so emitters
 // deep in the stack need no tick plumbing.  With no sinks attached the bus
 // is disabled and every emission path is a cheap branch; emitters should
-// gate event construction on enabled() (or the WILLOW_OBS_EMIT convenience)
-// so tracing-off runs pay nothing.
+// gate event construction on enabled() so tracing-off runs pay nothing.
 //
 // The bus also owns the run's MetricsRegistry: one wiring point hands a
 // subsystem both its event stream and its instruments.
@@ -88,14 +87,3 @@ class EventBus {
 };
 
 }  // namespace willow::obs
-
-/// Gate event construction on an attached-and-enabled bus:
-///   WILLOW_OBS_EMIT(bus_, ({.type = ..., .value = ...}));
-/// expands to nothing observable when `bus` is null or has no sinks.
-#define WILLOW_OBS_EMIT(bus, ...)                  \
-  do {                                             \
-    auto* wob_ = (bus);                            \
-    if (wob_ != nullptr && wob_->enabled()) {      \
-      wob_->emit(::willow::obs::Event __VA_ARGS__); \
-    }                                              \
-  } while (0)

@@ -1,6 +1,8 @@
 #include "sim/scenario_io.h"
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -48,6 +50,40 @@ long parse_long(const std::string& text, int line) {
   const long l = static_cast<long>(v);
   if (static_cast<double>(l) != v) fail(line, "expected an integer, got '" + text + "'");
   return l;
+}
+
+/// A seed: the exact unsigned 64-bit integer written, digits only.  (Not
+/// through parse_long's double, which would round values above 2^53 and
+/// wrap negative ones.)
+unsigned long long parse_seed(const std::string& text, int line) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec == std::errc::result_out_of_range) {
+    fail(line, "seed out of range: '" + text + "'");
+  }
+  if (ec != std::errc{} || ptr != end) {
+    fail(line, "expected a non-negative integer seed, got '" + text + "'");
+  }
+  return v;
+}
+
+/// Watts that a supply delivers: never negative.
+Watts parse_watts(const std::string& text, int line) {
+  const double v = parse_double(text, line);
+  if (v < 0.0) fail(line, "negative watts '" + text + "'");
+  return Watts{v};
+}
+
+/// Runs a model's constructor on parsed values.  A rejection by the
+/// constructor (std::invalid_argument) is reported with the line number.
+template <class Build>
+auto checked(int line, Build build) {
+  try {
+    return build();
+  } catch (const std::invalid_argument& e) {
+    fail(line, e.what());
+  }
 }
 
 /// An integer for a narrower field, checked against the field's range
@@ -103,13 +139,13 @@ std::shared_ptr<const power::SupplyProfile> parse_supply(
   if (kind == "constant") {
     need(1);
     return std::make_shared<power::ConstantSupply>(
-        Watts{parse_double(words[1], line)});
+        parse_watts(words[1], line));
   }
   if (kind == "steps") {
     if (words.size() < 2) fail(line, "steps supply needs at least one level");
     std::vector<Watts> levels;
     for (std::size_t i = 1; i < words.size(); ++i) {
-      levels.emplace_back(parse_double(words[i], line));
+      levels.push_back(parse_watts(words[i], line));
     }
     return std::make_shared<power::SteppedSupply>(std::move(levels),
                                                   Seconds{1.0});
@@ -124,15 +160,18 @@ std::shared_ptr<const power::SupplyProfile> parse_supply(
   if (kind == "solar") {
     need(5);
     return std::make_shared<power::SolarSupply>(
-        Watts{parse_double(words[1], line)},
-        Watts{parse_double(words[2], line)},
+        parse_watts(words[1], line), parse_watts(words[2], line),
         Seconds{parse_double(words[3], line)}, parse_double(words[4], line),
-        static_cast<unsigned long long>(parse_long(words[5], line)));
+        parse_seed(words[5], line));
   }
   if (kind == "csv") {
     need(1);
-    return std::shared_ptr<const power::SupplyProfile>(
-        power::load_supply_csv(words[1]).release());
+    try {
+      return std::shared_ptr<const power::SupplyProfile>(
+          power::load_supply_csv(words[1]).release());
+    } catch (const std::runtime_error& e) {
+      fail(line, e.what());
+    }
   }
   if (kind == "fig15") {
     need(0);
@@ -145,6 +184,33 @@ std::shared_ptr<const power::SupplyProfile> parse_supply(
         power::paper_fig19_trace().release());
   }
   fail(line, "unknown supply kind '" + kind + "'");
+}
+
+/// constant F | diurnal base amp period [phase] | trace f1 f2 ...
+std::shared_ptr<const workload::IntensityProfile> parse_intensity(
+    const std::string& value, int line) {
+  const auto words = split_words(value);
+  if (words.empty()) fail(line, "empty intensity specification");
+  if (words[0] == "constant" && words.size() == 2) {
+    return std::make_shared<workload::ConstantIntensity>(
+        parse_double(words[1], line));
+  }
+  if (words[0] == "diurnal" && (words.size() == 4 || words.size() == 5)) {
+    return std::make_shared<workload::DiurnalIntensity>(
+        parse_double(words[1], line), parse_double(words[2], line),
+        Seconds{parse_double(words[3], line)},
+        Seconds{words.size() == 5 ? parse_double(words[4], line) : 0.0});
+  }
+  if (words[0] == "trace" && words.size() >= 2) {
+    std::vector<double> factors;
+    for (std::size_t i = 1; i < words.size(); ++i) {
+      factors.push_back(parse_double(words[i], line));
+    }
+    return std::make_shared<workload::TraceIntensity>(std::move(factors),
+                                                      Seconds{1.0});
+  }
+  fail(line, "intensity must be 'constant F', 'diurnal base amp period"
+             " [phase]' or 'trace f...'");
 }
 
 binpack::Algorithm parse_packing(const std::string& text, int line) {
@@ -203,7 +269,7 @@ SimConfig parse_scenario(std::istream& in) {
         fail(line, "utilization out of range");
       }
     } else if (key == "seed") {
-      cfg.seed = static_cast<unsigned long long>(parse_long(value, line));
+      cfg.seed = parse_seed(value, line);
     } else if (key == "warmup_ticks") {
       cfg.warmup_ticks = parse_long(value, line);
     } else if (key == "measure_ticks") {
@@ -277,31 +343,9 @@ SimConfig parse_scenario(std::istream& in) {
     } else if (key == "ipc_flow_units") {
       cfg.ipc_flow_units = parse_double(value, line);
     } else if (key == "supply") {
-      cfg.supply = parse_supply(value, line);
+      cfg.supply = checked(line, [&] { return parse_supply(value, line); });
     } else if (key == "intensity") {
-      // constant F | diurnal base amp period [phase] | trace f1 f2 ...
-      const auto words = split_words(value);
-      if (words.empty()) fail(line, "empty intensity specification");
-      if (words[0] == "constant" && words.size() == 2) {
-        cfg.intensity = std::make_shared<workload::ConstantIntensity>(
-            parse_double(words[1], line));
-      } else if (words[0] == "diurnal" &&
-                 (words.size() == 4 || words.size() == 5)) {
-        cfg.intensity = std::make_shared<workload::DiurnalIntensity>(
-            parse_double(words[1], line), parse_double(words[2], line),
-            Seconds{parse_double(words[3], line)},
-            Seconds{words.size() == 5 ? parse_double(words[4], line) : 0.0});
-      } else if (words[0] == "trace" && words.size() >= 2) {
-        std::vector<double> factors;
-        for (std::size_t i = 1; i < words.size(); ++i) {
-          factors.push_back(parse_double(words[i], line));
-        }
-        cfg.intensity = std::make_shared<workload::TraceIntensity>(
-            std::move(factors), Seconds{1.0});
-      } else {
-        fail(line, "intensity must be 'constant F', 'diurnal base amp period"
-                   " [phase]' or 'trace f...'");
-      }
+      cfg.intensity = checked(line, [&] { return parse_intensity(value, line); });
     } else if (key == "sla_inflation") {
       cfg.sla_inflation = parse_double(value, line);
     } else if (key == "report_loss_probability") {
@@ -330,7 +374,7 @@ SimConfig parse_scenario(std::istream& in) {
     } else if (key == "cooling_cop") {
       power::CoolingConfig cool;
       cool.cop_at_reference = parse_double(value, line);
-      cfg.cooling = power::CoolingModel(cool);
+      cfg.cooling = checked(line, [&] { return power::CoolingModel(cool); });
     } else if (key == "link_up_loss_probability") {
       cfg.faults.link.up_loss = parse_double(value, line);
     } else if (key == "link_up_delay_probability") {
@@ -390,14 +434,12 @@ SimConfig parse_scenario(std::istream& in) {
         fail(line, "ups takes 'capacity_j max_discharge_w max_charge_w"
                    " [initial_fraction]'");
       }
-      try {
+      checked(line, [&] {
         cfg.ups.emplace(util::Joules{parse_double(words[0], line)},
                         Watts{parse_double(words[1], line)},
                         Watts{parse_double(words[2], line)},
                         words.size() == 4 ? parse_double(words[3], line) : 1.0);
-      } catch (const std::invalid_argument& e) {
-        fail(line, e.what());
-      }
+      });
     } else if (key == "stale_timeout_ticks") {
       cfg.controller.stale_timeout_ticks = parse_int(value, line);
     } else if (key == "stale_decay") {
@@ -538,7 +580,7 @@ const std::vector<ScenarioKeyDoc>& scenario_keys() {
       {"ups", "90000 220 160 0.8",
        "capacity_j max_discharge_w max_charge_w [initial_fraction]"},
       {"ups_failure", "60 80",
-       "battery failed open over ticks [first, last); repeatable"},
+       "battery failed open over ticks [first, last]; repeatable"},
       {"stale_timeout_ticks", "3",
        "degraded mode: reports stale after N silent ticks (0 = off)"},
       {"stale_decay", "0.9",

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -75,6 +76,11 @@ struct State {
       ++r.bins_touched;
     }
   }
+};
+
+struct VirtualGroup {
+  double content = 0.0;
+  std::vector<std::size_t> items;
 };
 
 std::size_t best_fit(const State& state, double size) {
@@ -241,6 +247,30 @@ Instance quantized_instance(util::Rng& rng, std::size_t max_items,
   return inst;
 }
 
+/// Best-fit slack ties: 2–8 bins one ulp apart from 3 W and items whose
+/// lowest set bit is half that ulp, so 3 − size lands on a rounding midpoint
+/// and adjacent capacities can share one slack; only the input-order
+/// tie-break separates them.  Two 10 W bins take the two large virtual
+/// groups, which leaves a third group of about 3 W that often fits no small
+/// bin whole and goes to the final best-fit pass.  The shuffle decouples
+/// input order from capacity order.
+Instance slack_tie_instance(util::Rng& rng) {
+  Instance inst;
+  for (std::size_t i = 0; i < 30; ++i) {
+    // An odd multiple of 2^-52 in (0.5, 1): half of ulp(3.0) = 2^-51.
+    const double odd = 2.0 * std::floor(rng.uniform(0x1p50, 0x1p51)) + 1.0;
+    inst.items.push_back({i + 1, std::ldexp(odd, -52), 0});
+  }
+  inst.bins = {{100, 10.0, 0}, {101, 10.0, 0}};
+  double cap = 3.0;
+  for (int b = rng.uniform_int(2, 8); b > 0; --b) {
+    inst.bins.push_back({102 + inst.bins.size(), cap, 0});
+    cap = std::nextafter(cap, 4.0);
+  }
+  rng.shuffle(inst.bins);
+  return inst;
+}
+
 const Algorithm kAll[] = {
     Algorithm::kFfdlr, Algorithm::kFirstFit, Algorithm::kFirstFitDecreasing,
     Algorithm::kBestFitDecreasing, Algorithm::kWorstFitDecreasing};
@@ -321,25 +351,32 @@ TEST_P(PackRandom, DeterministicAcrossRepeatedCalls) {
 
 TEST_P(PackRandom, MatchesStableSortLinearScanReferenceBitwise) {
   util::Rng rng(GetParam() + 5000);
+  util::Rng tie_rng(GetParam() + 6000);
   for (int round = 0; round < 300; ++round) {
     // Mostly small instances (dense in ties), some wide ones (step 4's
-    // binary search over many equal capacities, many used bins to skip).
+    // binary search over many equal capacities, many used bins to skip),
+    // and each round a slack-tie instance for the final best-fit pass.
     const bool wide = round % 10 == 0;
-    const Instance inst =
+    const Instance quantized =
         wide ? quantized_instance(rng, 40, 200) : quantized_instance(rng, 16, 10);
-    for (auto algo : kAll) {
-      const auto got = pack(inst.items, inst.bins, algo);
-      const auto want = reference::pack(inst.items, inst.bins, algo);
-      const std::string where = "algo " + std::to_string(static_cast<int>(algo)) +
-                                " round " + std::to_string(round);
-      ASSERT_EQ(got.assignments.size(), want.assignments.size()) << where;
-      for (std::size_t i = 0; i < got.assignments.size(); ++i) {
-        ASSERT_EQ(got.assignments[i].item, want.assignments[i].item) << where;
-        ASSERT_EQ(got.assignments[i].bin, want.assignments[i].bin) << where;
+    const Instance tie = slack_tie_instance(tie_rng);
+    for (const Instance* inst : {&quantized, &tie}) {
+      for (auto algo : kAll) {
+        const auto got = pack(inst->items, inst->bins, algo);
+        const auto want = reference::pack(inst->items, inst->bins, algo);
+        const std::string where =
+            std::string(inst == &tie ? "slack-tie" : "quantized") + " algo " +
+            std::to_string(static_cast<int>(algo)) + " round " +
+            std::to_string(round);
+        ASSERT_EQ(got.assignments.size(), want.assignments.size()) << where;
+        for (std::size_t i = 0; i < got.assignments.size(); ++i) {
+          ASSERT_EQ(got.assignments[i].item, want.assignments[i].item) << where;
+          ASSERT_EQ(got.assignments[i].bin, want.assignments[i].bin) << where;
+        }
+        ASSERT_EQ(got.unplaced, want.unplaced) << where;
+        ASSERT_EQ(bits_of(got.placed_size), bits_of(want.placed_size)) << where;
+        ASSERT_EQ(got.bins_touched, want.bins_touched) << where;
       }
-      ASSERT_EQ(got.unplaced, want.unplaced) << where;
-      ASSERT_EQ(bits_of(got.placed_size), bits_of(want.placed_size)) << where;
-      ASSERT_EQ(got.bins_touched, want.bins_touched) << where;
     }
   }
 }

@@ -134,11 +134,22 @@ TEST(FaultInjection, UpsFailureWindowEmitsTransitions) {
   cfg.ups = power::Ups(util::Joules{90000.0}, 220_W, 160_W, 0.8);
   cfg.faults.ups_failures.push_back({20, 40});
   auto counting = std::make_shared<obs::CountingSink>();
+  auto ring = std::make_shared<obs::RingBufferSink>(100000);
   cfg.sinks.push_back(counting);
+  cfg.sinks.push_back(ring);
   const auto result = run_simulation(std::move(cfg));
   EXPECT_EQ(counting->count(obs::EventType::kUpsFail), 1u);
   EXPECT_EQ(counting->count(obs::EventType::kUpsRestore), 1u);
   ASSERT_EQ(result.ticks, 40);
+  // The window is inclusive: the battery fails at tick 20 and is back at 41.
+  ASSERT_LT(ring->total_seen(), 100000u);
+  for (const auto& e : ring->events()) {
+    if (e.type == obs::EventType::kUpsFail) {
+      EXPECT_EQ(e.tick, 20);
+    } else if (e.type == obs::EventType::kUpsRestore) {
+      EXPECT_EQ(e.tick, 41);
+    }
+  }
 }
 
 TEST(FaultInjection, CrashedServersAreDeniedForQos) {

@@ -164,12 +164,20 @@ TEST(ScenarioIo, IpcAndWorkloadKeys) {
 }
 
 TEST(ScenarioIo, ErrorsCarryLineNumbers) {
-  // An unknown key, and an integer outside its field's range (rejected by
-  // the parser, not left to wrap before validation).
+  // An unknown key, an integer outside its field's range (rejected by the
+  // parser, not left to wrap before validation), and values a model's
+  // constructor or the CSV loader rejects.
   for (const auto& [text, word] :
        {std::pair<std::string, std::string>{
             "utilization = 0.5\nbogus_key = 3\n", "bogus_key"},
-        {"seed = 1\nzones = -1\n", "-1"}}) {
+        {"seed = 1\nzones = -1\n", "-1"},
+        {"seed = 1\ncooling_cop = 0\n", "COP"},
+        {"seed = 1\nsupply = sine 100 -5 0\n", "period"},
+        {"seed = 1\nsupply = solar 100 50 0 2 1\n", "day_length"},
+        {"seed = 1\nintensity = constant -1\n", "negative factor"},
+        {"seed = 1\nintensity = diurnal 1 0.5 0\n", "period"},
+        {"seed = 1\nintensity = trace -1 2\n", "negative factor"},
+        {"seed = 1\nsupply = csv /nonexistent.csv\n", "/nonexistent.csv"}}) {
     try {
       parse(text);
       FAIL() << "expected throw: " << text;
@@ -203,8 +211,26 @@ TEST(ScenarioIo, MalformedInputsFail) {
   EXPECT_THROW(parse("priority_levels = -3\n"), std::runtime_error);
   EXPECT_THROW(parse("hot_zone_servers = -5\n"), std::runtime_error);
   EXPECT_THROW(parse("crash_event = 5 -1 -1\n"), std::runtime_error); // index
+  // Seeds are exact unsigned 64-bit integers, not doubles.
+  EXPECT_THROW(parse("seed = -1\n"), std::runtime_error);
+  EXPECT_THROW(parse("seed = 1.5\n"), std::runtime_error);
+  EXPECT_THROW(parse("seed = 18446744073709551616\n"), std::runtime_error);
+  EXPECT_THROW(parse("supply = solar 220 350 48 0.4 -5\n"),
+               std::runtime_error);
+  // A supply never delivers negative watts.
+  EXPECT_THROW(parse("supply = constant -10\n"), std::runtime_error);
+  EXPECT_THROW(parse("supply = steps 480 -5\n"), std::runtime_error);
+  EXPECT_THROW(parse("supply = solar -1 350 48 0.4 11\n"), std::runtime_error);
+  EXPECT_THROW(parse("supply = solar 220 -350 48 0.4 11\n"),
+               std::runtime_error);
   // Cross-field validation still applies (eta2 must exceed eta1).
   EXPECT_THROW(parse("eta1 = 7\neta2 = 7\n"), std::runtime_error);
+}
+
+TEST(ScenarioIo, SeedsAboveTwoToThe53RoundTrip) {
+  EXPECT_EQ(parse("seed = 9007199254740993\n").seed, 9007199254740993ull);
+  EXPECT_EQ(parse("seed = 18446744073709551615\n").seed,
+            18446744073709551615ull);
 }
 
 TEST(ScenarioIo, LoadFileRoundTrip) {
