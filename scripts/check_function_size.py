@@ -8,7 +8,9 @@ namespace, using-declaration or closing brace) whose declaration reaches a
 '{' before a ';', and ends at the next line that starts with '}'.  Its
 length counts both ends, signature included.  This matches the repository's
 clang-format layout, where only namespace-scope code sits at column 0.
-Exits 1 and lists every definition over the budget, largest first.
+Exits 1 and lists every definition over the budget, largest first; exits 2
+with this usage when the arguments are missing or the budget is not a
+non-negative integer.
 """
 import sys
 
@@ -53,7 +55,7 @@ def definitions(lines):
 
 
 def main(argv):
-    if len(argv) < 3:
+    if len(argv) < 3 or not argv[1].isdecimal():
         print(__doc__.strip(), file=sys.stderr)
         return 2
     limit = int(argv[1])

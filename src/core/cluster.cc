@@ -229,35 +229,46 @@ void Cluster::refresh_demands(const workload::PoissonDemand& process,
   }
 }
 
-void Cluster::refresh_demands(const workload::PoissonDemand& process,
-                              std::uint64_t seed, long tick, double intensity,
+template <typename RefreshApps>
+void Cluster::refresh_sharded(const RefreshApps& refresh_apps,
                               util::ThreadPool* pool,
                               const PerServerHook* per_server) {
   // The one tick phase that emits from inside a sharded region: each server's
-  // fresh demand sample becomes a kDemandReport deposited into the per-server
-  // shard slot; end_shards() merges them in server order so the trace is
-  // identical no matter how the range was partitioned.
+  // fresh demand becomes a kDemandReport deposited into the per-server shard
+  // slot; end_shards() merges them in server order so the trace is identical
+  // no matter how the range was partitioned.
   const bool observe = bus_ != nullptr && bus_->enabled();
   if (observe) bus_->begin_shards(servers_.size());
   util::parallel_for_ranges(
       pool, servers_.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          auto rng = util::tick_stream(seed, static_cast<std::uint64_t>(tick),
-                                       i, util::stream_phase::kDemand);
-          process.refresh_all(servers_[i].apps(), rng, intensity);
-          servers_[i].set_cached_app_demand(
-              workload::total_demand(servers_[i].apps()));
-          if (observe && !servers_[i].asleep() && !servers_[i].crashed()) {
+          auto& s = servers_[i];
+          refresh_apps(i, s.apps());
+          s.set_cached_app_demand(workload::total_demand(s.apps()));
+          if (observe && !s.asleep() && !s.crashed()) {
             obs::Event e;
             e.type = obs::EventType::kDemandReport;
-            e.node = servers_[i].node();
-            e.value = servers_[i].power_demand().value();
+            e.node = s.node();
+            e.value = s.power_demand().value();
             bus_->emit_shard(i, std::move(e));
           }
           if (per_server != nullptr) (*per_server)(i);
         }
       });
   if (observe) bus_->end_shards();
+}
+
+void Cluster::refresh_demands(const workload::PoissonDemand& process,
+                              std::uint64_t seed, long tick, double intensity,
+                              util::ThreadPool* pool,
+                              const PerServerHook* per_server) {
+  refresh_sharded(
+      [&](std::size_t i, std::vector<Application>& apps) {
+        auto rng = util::tick_stream(seed, static_cast<std::uint64_t>(tick), i,
+                                     util::stream_phase::kDemand);
+        process.refresh_all(apps, rng, intensity);
+      },
+      pool, per_server);
 }
 
 void Cluster::refresh_demands_constant() {
@@ -270,25 +281,11 @@ void Cluster::refresh_demands_constant() {
 void Cluster::refresh_demands_deterministic(double intensity,
                                             util::ThreadPool* pool,
                                             const PerServerHook* per_server) {
-  const bool observe = bus_ != nullptr && bus_->enabled();
-  if (observe) bus_->begin_shards(servers_.size());
-  util::parallel_for_ranges(
-      pool, servers_.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          workload::ConstantDemand::refresh_all(servers_[i].apps(), intensity);
-          servers_[i].set_cached_app_demand(
-              workload::total_demand(servers_[i].apps()));
-          if (observe && !servers_[i].asleep() && !servers_[i].crashed()) {
-            obs::Event e;
-            e.type = obs::EventType::kDemandReport;
-            e.node = servers_[i].node();
-            e.value = servers_[i].power_demand().value();
-            bus_->emit_shard(i, std::move(e));
-          }
-          if (per_server != nullptr) (*per_server)(i);
-        }
-      });
-  if (observe) bus_->end_shards();
+  refresh_sharded(
+      [&](std::size_t, std::vector<Application>& apps) {
+        workload::ConstantDemand::refresh_all(apps, intensity);
+      },
+      pool, per_server);
 }
 
 void Cluster::observe_leaf_demands() {
@@ -315,8 +312,6 @@ void Cluster::observe_leaf_demands() {
     tree_.observe_leaf(s.node(), seen);
   }
 }
-
-void Cluster::step_thermal(Seconds dt) { step_thermal(dt, nullptr); }
 
 void Cluster::step_thermal(Seconds dt, util::ThreadPool* pool,
                            const PerServerHook* per_server) {

@@ -103,7 +103,6 @@ class ManagedServer {
   /// PMU leaf keeps acting on its previous observation (stale CP).  Models
   /// the measurement/communication failures the convergence analysis
   /// (Sec. V-A1) assumes away.
-  [[nodiscard]] bool report_fault() const { return report_fault_; }
   void set_report_fault(bool faulty) { report_fault_ = faulty; }
 
   /// Crashed: the server is down hard (no demand, no consumption, apps
@@ -140,11 +139,6 @@ class ManagedServer {
 
   /// The temperature the controller sees (temp-sensor override applied).
   [[nodiscard]] util::Celsius sensed_temperature() const;
-  /// False during a temperature-sensor dropout: the thermal hard limit must
-  /// fall back to the always-safe steady-state envelope.
-  [[nodiscard]] bool temp_reading_valid() const {
-    return temp_sensor_.mode != fault::SensorMode::kDropout;
-  }
 
   /// Stale-report bookkeeping for the controller's degraded mode: ticks
   /// since the last usable demand observation, and what that observation
@@ -314,13 +308,12 @@ class Cluster {
   void observe_leaf_demands();
 
   /// Advance thermal state of every server by dt under its consumed power.
-  void step_thermal(Seconds dt);
-  /// Sharded form: per-server state only, so any partition of the server
-  /// range yields identical results; budgets are read, never written.
-  /// `per_server`, if non-null, runs for each server after its step — the
-  /// tick engine fuses per-server metric recording into this batch on
-  /// recorded ticks.
-  void step_thermal(Seconds dt, util::ThreadPool* pool,
+  /// Sharded over `pool` (serial when null): per-server state only, so any
+  /// partition of the server range yields identical results; budgets are
+  /// read, never written.  `per_server`, if non-null, runs for each server
+  /// after its step — the tick engine fuses per-server metric recording into
+  /// this batch on recorded ticks.
+  void step_thermal(Seconds dt, util::ThreadPool* pool = nullptr,
                     const PerServerHook* per_server = nullptr);
 
   /// Expire aged temporary migration demands (call once per demand period).
@@ -343,6 +336,13 @@ class Cluster {
   [[nodiscard]] obs::EventBus* event_bus() const { return bus_; }
 
  private:
+  /// The body both streamed refreshes share: for each server, call
+  /// refresh_apps(i, apps), deposit the demand cache, emit the server's
+  /// kDemandReport into its shard slot, then run `per_server`.
+  template <typename RefreshApps>
+  void refresh_sharded(const RefreshApps& refresh_apps, util::ThreadPool* pool,
+                       const PerServerHook* per_server);
+
   hier::Tree tree_;
   ServerArena arena_;                   ///< slot/handle index; see arena.h
   std::vector<ManagedServer> servers_;  ///< payload, parallel to arena slots

@@ -236,9 +236,6 @@ class Controller {
   /// Whether `node`'s budget was reduced by the most recent supply event.
   [[nodiscard]] bool budget_reduced(NodeId node) const;
 
-  /// Root-level budget that no child could absorb at the last supply event.
-  [[nodiscard]] Watts root_unallocated() const { return root_unallocated_; }
-
   /// Migrations currently in transit (only under migration latency).
   [[nodiscard]] std::size_t migrations_in_flight() const {
     return in_flight_.size();
@@ -627,6 +624,7 @@ class Controller {
   /// Servers whose budget this tick's thermal/circuit clamp reduced; drives
   /// the kThermal reason code on the migrations the clamp forces.
   std::vector<char> thermally_clamped_;
+  /// Root-level budget that no child could absorb at the last supply event.
   Watts root_unallocated_{0.0};
   std::vector<MigrationRecord> migrations_this_tick_;
   /// Demand already accepted by each server during the current tick (so

@@ -40,12 +40,6 @@ class ServerPowerModel {
   /// For p <= static_power returns 0; for p >= peak_power returns 1.
   [[nodiscard]] double utilization(Watts p) const;
 
-  /// Utilization supportable under a power budget (same as utilization(),
-  /// named for call-site readability in the controller).
-  [[nodiscard]] double utilization_under_budget(Watts budget) const {
-    return utilization(budget);
-  }
-
   /// The Section V-C testbed calibration (see file comment).
   static ServerPowerModel paper_testbed();
 

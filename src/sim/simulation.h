@@ -2,23 +2,28 @@
 //
 // One Simulation owns the plant (Datacenter), its workload, the switch
 // fabric, the supply profile (optionally buffered by a UPS), and the Willow
-// controller, and advances them in demand-period ticks:
+// controller.  run() advances them in demand-period ticks, one Run::tick()
+// each (simulation.cc), which calls the named stages in this order:
 //
-//   1. Poisson demand refresh (workload)
-//   2. fabric period reset + base query traffic deposition
-//   3. controller.tick(available supply)   — migrations flow to the fabric
-//   4. thermal stepping under consumed power
-//   5. metric recording (after an optional warm-up)
+//   sample()          churn + fault-plane draws (sharded)
+//   apply_churn()     departures and arrivals, in server order
+//   (in tick)         ambient events; fault-plane apply
+//   refresh_demand()  Poisson demand refresh + report-fault flags + traffic
+//                     accounting (sharded)
+//   (in tick)         supply / UPS step; fabric period reset + traffic
+//                     deposit; controller.tick(available supply), whose
+//                     migrations flow to the fabric; IPC flow traffic
+//   step_thermal()    thermal stepping + per-server recording (sharded)
+//   (in tick)         re-migration count
+//   record()          serial metric recording after an optional warm-up
 //
-// The per-server parts of those phases are sharded across a thread pool
-// (SimConfig::threads) as at most three *fused* batches per tick — churn +
-// fault sampling; demand refresh + report-fault flags + traffic accounting;
-// thermal stepping + metric recording — with bit-deterministic results for
-// any thread count: per-tick randomness comes from counter-based per-server
-// streams (util::tick_stream) and shared accumulators are deposited in fixed
-// server order between the batches.  The controller itself stays serial — a
-// control period is a causal chain (demand -> reports -> budgets ->
-// migrations).
+// After the last tick, finish() turns the run's state into the SimResult.
+// The three sharded stages are the tick's only fan-outs over the thread pool
+// (SimConfig::threads), with bit-deterministic results for any thread count:
+// per-tick randomness comes from counter-based per-server streams
+// (util::tick_stream) and shared accumulators are deposited in fixed server
+// order between the batches.  The controller itself stays serial — a control
+// period is a causal chain (demand -> reports -> budgets -> migrations).
 //
 // The recorded SimResult carries everything Figures 5–12 plot.
 #pragma once
@@ -281,6 +286,9 @@ class Simulation {
   [[nodiscard]] obs::EventBus& event_bus() { return bus_; }
 
  private:
+  /// One run's state and its tick stages (simulation.cc).
+  struct Run;
+
   void build();
 
   SimConfig config_;
@@ -295,7 +303,6 @@ class Simulation {
   /// behind a null check, keeping fault-free runs byte-identical).
   std::unique_ptr<fault::FaultPlane> fault_plane_;
   std::unique_ptr<fault::LinkFaultModel> link_faults_;
-  std::unique_ptr<util::Rng> rng_;
   /// Worker pool for the sharded tick phases; null when the effective thread
   /// count is 1 (serial engine, no pool spun up).
   std::unique_ptr<util::ThreadPool> pool_;

@@ -120,7 +120,6 @@ class Histogram {
     ++total_;
   }
 
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
   [[nodiscard]] std::size_t count(std::size_t b) const { return counts_.at(b); }
   [[nodiscard]] std::size_t total() const { return total_; }
   [[nodiscard]] double bucket_low(std::size_t b) const {

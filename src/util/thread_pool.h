@@ -5,7 +5,7 @@
 // simulation tick engine, which shards its per-server phases (demand refresh,
 // thermal stepping, churn sampling) across workers a few times per tick.
 //
-// The fan-out path is a *batch engine*, not a task queue.  A queue costs one
+// The pool is a *batch engine* with no task queue.  A queue costs one
 // heap-allocated std::function plus two mutex round-trips per task; at a few
 // fan-outs per tick over sub-millisecond phases that overhead made threads>1
 // measurably slower than serial (see DESIGN.md §8).  Instead, run_batch
@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -55,17 +54,9 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue a task; runs on some worker eventually.  The queue path exists
-  /// for irregular background work; per-tick fan-outs use run_batch.
-  void submit(std::function<void()> task);
-
-  /// Block until every task submitted so far has finished.  Batches complete
-  /// synchronously inside run_batch and never appear here.
-  void wait_idle();
-
   /// Execute `body` over the chunk partition of [0, n); blocks until every
   /// chunk has run.  The caller participates in executing chunks, so this
-  /// completes even on a pool whose workers are busy with queued tasks.
+  /// completes even if no worker wakes in time.
   /// Must be called from one orchestrating thread at a time (the tick loop);
   /// nested run_batch from inside a body is not supported.
   void run_batch(std::size_t n, const RangeBody& body);
@@ -105,8 +96,7 @@ class ThreadPool {
   // never see a half-written batch); the hot per-chunk traffic runs on the
   // two padded atomics below, off the lock.
   std::mutex mutex_;
-  std::condition_variable cv_task_;
-  std::queue<std::function<void()>> queue_;
+  std::condition_variable cv_batch_;
   std::atomic<bool> stop_{false};
   std::uint32_t batch_gen_ = 0;       ///< guarded by mutex_
   const RangeBody* batch_body_ = nullptr;  ///< guarded by mutex_
@@ -122,8 +112,6 @@ class ThreadPool {
   /// Chunks completed in the current batch; the single countdown the
   /// producer blocks on.
   alignas(64) std::atomic<std::size_t> batch_done_{0};
-  /// Tasks submitted and not yet finished (queue path only).
-  alignas(64) std::atomic<std::size_t> in_flight_{0};
 };
 
 /// Run body(i) for i in [0, n), partitioned across `pool`; blocks until done.

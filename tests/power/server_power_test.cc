@@ -77,10 +77,5 @@ TEST(ServerPowerModel, PaperTestbedTableIValues) {
   EXPECT_NEAR(m.power(0.6).value(), 203.0, 1e-9);
 }
 
-TEST(ServerPowerModel, UtilizationUnderBudgetAliasesInverse) {
-  const auto m = ServerPowerModel::paper_testbed();
-  EXPECT_DOUBLE_EQ(m.utilization_under_budget(200_W), m.utilization(200_W));
-}
-
 }  // namespace
 }  // namespace willow::power

@@ -225,6 +225,12 @@ TEST(ScenarioIo, MalformedInputsFail) {
                std::runtime_error);
   // Cross-field validation still applies (eta2 must exceed eta1).
   EXPECT_THROW(parse("eta1 = 7\neta2 = 7\n"), std::runtime_error);
+  // Rejected by validation, not first by the run.
+  EXPECT_THROW(parse("thermal_c1 = 0\n"), std::runtime_error);
+  EXPECT_THROW(parse("thermal_c1 = -0.08\n"), std::runtime_error);
+  EXPECT_THROW(parse("thermal_c2 = 0\n"), std::runtime_error);
+  EXPECT_THROW(parse("nameplate_w = -5\n"), std::runtime_error);
+  EXPECT_THROW(parse("ipc_flow_units = -1\n"), std::runtime_error);
 }
 
 TEST(ScenarioIo, SeedsAboveTwoToThe53RoundTrip) {

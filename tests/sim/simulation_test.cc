@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace willow::sim {
 namespace {
 
@@ -157,6 +159,98 @@ TEST(Simulation, UpsSmoothsSupplyDips) {
 
   EXPECT_GT(with.supply_series.stats().min(),
             without.supply_series.stats().min());
+}
+
+// The tick loop's promises: one profile call per tick, and the phase
+// instruments registered and counted as documented.
+class CountingIntensity final : public workload::IntensityProfile {
+ public:
+  [[nodiscard]] double at(util::Seconds) const override {
+    ++calls;
+    return 1.0;
+  }
+  mutable long calls = 0;
+};
+
+class CountingSupply final : public power::SupplyProfile {
+ public:
+  [[nodiscard]] util::Watts at(util::Seconds) const override {
+    ++calls;
+    return 480_W;
+  }
+  mutable long calls = 0;
+};
+
+const obs::MetricsSnapshot::TimerValue* find_timer(
+    const obs::MetricsSnapshot& m, const std::string& name) {
+  for (const auto& t : m.timers) {
+    if (t.name == name) return &t;
+  }
+  return nullptr;
+}
+
+bool has_counter(const obs::MetricsSnapshot& m, const std::string& name) {
+  for (const auto& c : m.counters) {
+    if (c.name == name) return true;
+  }
+  return false;
+}
+
+std::uint64_t timer_count(const obs::MetricsSnapshot& m,
+                          const std::string& name) {
+  const auto* t = find_timer(m, name);
+  EXPECT_NE(t, nullptr) << name << " not registered";
+  return t != nullptr ? t->count : 0;
+}
+
+TEST(SimulationTickLoop, ProfilesAreQueriedOncePerTick) {
+  auto cfg = base_config(0.5);
+  cfg.warmup_ticks = 5;
+  cfg.measure_ticks = 12;
+  auto intensity = std::make_shared<CountingIntensity>();
+  auto supply = std::make_shared<CountingSupply>();
+  cfg.intensity = intensity;
+  cfg.supply = supply;
+  (void)run_simulation(cfg);
+  EXPECT_EQ(intensity->calls, 17);
+  EXPECT_EQ(supply->calls, 17);
+}
+
+TEST(SimulationTickLoop, PhaseTimersCountTheirTicks) {
+  auto cfg = base_config(0.5);
+  cfg.warmup_ticks = 5;
+  cfg.measure_ticks = 12;
+  const auto m = run_simulation(cfg).metrics;
+  for (const char* all : {"sim.phase.demand", "sim.phase.controller",
+                          "sim.phase.thermal"}) {
+    EXPECT_EQ(timer_count(m, all), 17u) << all;
+  }
+  for (const char* measured : {"sim.phase.controller.measured",
+                               "sim.phase.record", "sim.phase.tick.measured"}) {
+    EXPECT_EQ(timer_count(m, measured), 12u) << measured;
+  }
+  // No churn and no fault sampling: registered, never run.
+  EXPECT_EQ(timer_count(m, "sim.phase.sample"), 0u);
+  EXPECT_EQ(timer_count(m, "sim.phase.churn"), 0u);
+  // An unarmed fault plane registers nothing.
+  EXPECT_EQ(find_timer(m, "sim.phase.fault"), nullptr);
+  for (const auto& c : m.counters) {
+    EXPECT_NE(c.name.rfind("fault.", 0), 0u) << c.name;
+  }
+}
+
+TEST(SimulationTickLoop, ArmedFaultPlaneTimesEveryTick) {
+  auto cfg = base_config(0.5);
+  cfg.warmup_ticks = 5;
+  cfg.measure_ticks = 12;
+  cfg.faults.crash_probability = 0.01;
+  const auto m = run_simulation(cfg).metrics;
+  EXPECT_EQ(timer_count(m, "sim.phase.fault"), 17u);
+  EXPECT_EQ(timer_count(m, "sim.phase.sample"), 17u);
+  for (const char* c : {"fault.crashes", "fault.restarts",
+                        "fault.sensor_faults", "fault.sensor_recoveries"}) {
+    EXPECT_TRUE(has_counter(m, c)) << c;
+  }
 }
 
 }  // namespace

@@ -77,6 +77,7 @@ TEST(SimConfigValidate, NanFieldsAreNamed) {
            [&](SimConfig& c) { c.report_loss_probability = nan; }},
           {"ipc_chain_fraction",
            [&](SimConfig& c) { c.ipc_chain_fraction = nan; }},
+          {"ipc_flow_units", [&](SimConfig& c) { c.ipc_flow_units = nan; }},
           {"demand_quantum",
            [&](SimConfig& c) { c.demand_quantum = util::Watts{nan}; }},
           {"sla_inflation", [&](SimConfig& c) { c.sla_inflation = nan; }},
@@ -120,6 +121,30 @@ TEST(ControllerConfigValidate, NanAndNegativeFieldsAreNamed) {
       EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
           << e.what();
     }
+  }
+}
+
+TEST(SimConfigValidate, RunTimeRejectionsAreNamed) {
+  // Values that ThermalModel construction or FlowSet::add would reject must
+  // fail validation (and so willow_cli --check), not the run.
+  const std::vector<std::pair<std::string, std::function<void(SimConfig&)>>>
+      cases{
+          {"datacenter.server.thermal",
+           [](SimConfig& c) { c.datacenter.server.thermal.c1 = 0.0; }},
+          {"datacenter.server.thermal",
+           [](SimConfig& c) { c.datacenter.server.thermal.c1 = -0.08; }},
+          {"datacenter.server.thermal",
+           [](SimConfig& c) { c.datacenter.server.thermal.c2 = 0.0; }},
+          {"datacenter.server.thermal",
+           [](SimConfig& c) {
+             c.datacenter.server.thermal.nameplate = util::Watts{-5.0};
+           }},
+          {"ipc_flow_units", [](SimConfig& c) { c.ipc_flow_units = -1.0; }},
+      };
+  for (const auto& [field, set] : cases) {
+    SimConfig cfg;
+    set(cfg);
+    EXPECT_TRUE(mentions(cfg.validate(), field)) << field << " accepted";
   }
 }
 

@@ -24,34 +24,6 @@ TEST(ThreadPool, ExplicitSize) {
   EXPECT_EQ(pool.size(), 3u);
 }
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { ++counter; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, TasksCanSubmitMoreWork) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.submit([&] {
-    for (int i = 0; i < 10; ++i) {
-      pool.submit([&counter] { ++counter; });
-    }
-  });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 10);
-}
-
 TEST(ParallelFor, CoversAllIndicesExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(500);
@@ -72,16 +44,6 @@ TEST(ParallelFor, ComputesDeterministicResult) {
                [&](std::size_t i) { out[i] = static_cast<double>(i) * 2.0; });
   double sum = std::accumulate(out.begin(), out.end(), 0.0);
   EXPECT_DOUBLE_EQ(sum, 999.0 * 1000.0);
-}
-
-TEST(ThreadPool, ManySmallBatchesDoNotDeadlock) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 20; ++round) {
-    for (int i = 0; i < 10; ++i) pool.submit([&] { ++counter; });
-    pool.wait_idle();
-  }
-  EXPECT_EQ(counter.load(), 200);
 }
 
 TEST(ParallelForRanges, CoversAllIndicesExactlyOnce) {
@@ -210,30 +172,6 @@ TEST(ThreadPool, BatchDescriptorReuseAcrossManyRounds) {
   }
 }
 
-TEST(ThreadPool, WaitIdleWithInterleavedSubmitsAndBatches) {
-  // The queue path (submit/wait_idle) and the batch path (run_batch) share
-  // workers; interleaving them must neither drop tasks nor deadlock.
-  ThreadPool pool(3);
-  pool.set_force_worker_dispatch(true);
-  std::atomic<int> queued{0};
-  std::atomic<int> batched{0};
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 5; ++i) {
-      pool.submit([&] { queued.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.run_batch(64, [&](std::size_t begin, std::size_t end) {
-      batched.fetch_add(static_cast<int>(end - begin),
-                        std::memory_order_relaxed);
-    });
-    for (int i = 0; i < 5; ++i) {
-      pool.submit([&] { queued.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
-    ASSERT_EQ(queued.load(), (round + 1) * 10);
-    ASSERT_EQ(batched.load(), (round + 1) * 64);
-  }
-}
-
 TEST(ThreadPool, SingleWorkerPoolRunsBatchInlineOnCaller) {
   // size() <= 1 pools never dispatch to workers: the caller runs every
   // chunk itself, so nested use from a worker cannot deadlock.
@@ -261,7 +199,7 @@ TEST(ThreadPool, ForcedDispatchStillCoversEveryIndexOnce) {
 TEST(ParallelForRanges, StressManyRoundsOfReductions) {
   // Hammer one pool with tick-loop-shaped work: many consecutive sharded
   // rounds, each a fill + fixed-order reduce, interleaved with a shared
-  // atomic.  Exercises queue/wait_idle transitions under contention (the
+  // atomic.  Exercises back-to-back batch generations under contention (the
   // TSan preset runs this).
   ThreadPool pool(4);
   const std::size_t n = 4096;
