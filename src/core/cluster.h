@@ -333,7 +333,6 @@ class Cluster {
     bus_ = bus;
     tree_.set_event_bus(bus);
   }
-  [[nodiscard]] obs::EventBus* event_bus() const { return bus_; }
 
  private:
   /// The body both streamed refreshes share: for each server, call

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/allocation.h"
-#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace willow::core {
@@ -830,8 +829,6 @@ void Controller::complete_due_migrations() {
     if (lands) {
       emit(obs::EventType::kMigrationLanded, m.source, m.target, m.app,
            obs::Reason::kNone, m.demand.value());
-      WILLOW_DEBUG() << "migration of app " << m.app << " landed on "
-                     << m.target;
     }
   }
   in_flight_.erase(keep, in_flight_.end());
@@ -904,11 +901,6 @@ void Controller::apply_migration(const PlanItem& item, NodeId target) {
     ++stats_.nonlocal_migrations;
   }
   if (sink_) sink_(rec);
-  WILLOW_DEBUG() << "migrate app " << item.app << " " << item.source << " -> "
-                 << target << " (" << item.demand.value() << " W, "
-                 << (item.cause == MigrationCause::kDemand ? "demand"
-                                                           : "consolidation")
-                 << ", " << (rec.local ? "local" : "non-local") << ")";
 }
 
 void Controller::to_pack_items(const std::vector<PlanItem>& items,
@@ -1113,7 +1105,6 @@ void Controller::wake_for(std::vector<PlanItem>& pending) {
       ++stats_.wakes;
       emit(obs::EventType::kWake, s, hier::kNoNode, 0,
            obs::Reason::kSupplyDeficit);
-      WILLOW_INFO() << "wake server " << s << " for unplaced demand";
       batch_nodes.push_back(s);
     }
     // Re-divide the same supply with the whole batch participating.
@@ -1185,9 +1176,6 @@ void Controller::shed_leftovers(std::vector<PlanItem>& pending) {
         shed += released;
         emit(obs::EventType::kDegrade, source, hier::kNoNode, app->id(),
              obs::Reason::kShedding, released);
-        WILLOW_INFO() << "degrade app " << app->id() << " on server " << source
-                      << " to " << config_.degraded_service_level * 100.0
-                      << "% (" << released << " W released)";
       }
     }
     // Pass 2: drop whole applications for what degradation did not cover.
@@ -1202,8 +1190,6 @@ void Controller::shed_leftovers(std::vector<PlanItem>& pending) {
       shed += released;
       emit(obs::EventType::kDrop, source, hier::kNoNode, app->id(),
            obs::Reason::kShedding, released);
-      WILLOW_INFO() << "drop app " << app->id() << " on server " << source
-                    << " (" << released << " W)";
     }
     if (mutated) {
       // Dropping/degrading changed the server's live demand out from under
@@ -1444,16 +1430,10 @@ void Controller::drain_candidate(std::size_t k) {
     consol_index_update(tgt);  // capacity shrank; no-op if index not built
   }
   ++consol_tally_.drained;
-  if (srv.apps().empty()) {
-    put_to_sleep(s);
-    WILLOW_INFO() << "consolidated server " << s << " to sleep";
-  } else {
-    // Latency mode: the VMs are still transferring; the server sleeps at a
-    // later ΔA once it is empty (the in-flight guard keeps it untouched
-    // until then).
-    WILLOW_INFO() << "consolidation of server " << s
-                  << " deferred until transfers land";
-  }
+  // Latency mode: the VMs may still be transferring; the server then sleeps
+  // at a later ΔA once it is empty (the in-flight guard keeps it untouched
+  // until then).
+  if (srv.apps().empty()) put_to_sleep(s);
 }
 
 bool Controller::run_scope(NodeId candidate,
@@ -1666,7 +1646,6 @@ void Controller::revive_apps(NodeId server, Watts& headroom) {
       ++stats_.revivals;
       emit(obs::EventType::kRevive, server, hier::kNoNode, a->id(),
            obs::Reason::kNone, a->effective_mean_power().value());
-      WILLOW_INFO() << "revive app " << a->id() << " on server " << server;
     }
   }
   if (revived_any) {
@@ -1704,8 +1683,6 @@ void Controller::restore_apps(NodeId server, Watts& headroom) {
       ++stats_.restores;
       emit(obs::EventType::kRestore, server, hier::kNoNode, a->id(),
            obs::Reason::kNone, gain.value());
-      WILLOW_INFO() << "restore app " << a->id() << " to full service on "
-                    << server;
     }
   }
   if (restored_any) {

@@ -227,7 +227,6 @@ class Controller {
     bus_ = bus;
     resolve_instruments();
   }
-  [[nodiscard]] obs::EventBus* event_bus() const { return bus_; }
 
   /// One demand period: reports, (possibly) supply adaptation with the given
   /// available supply, demand adaptation, (possibly) consolidation, revival.

@@ -262,7 +262,6 @@ class Tree {
   /// kLinkMessage event — the stream Property 3 ("at most 2 messages per
   /// link per ΔD") is asserted against.
   void set_event_bus(obs::EventBus* bus);
-  [[nodiscard]] obs::EventBus* event_bus() const { return bus_; }
 
   /// Attach a link-fault model (not owned; may be null).  When set, every
   /// demand report consults it: lost/deferred reports leave the child
@@ -270,9 +269,6 @@ class Tree {
   /// duplicated reports cost a second link message.  Null (the default)
   /// keeps the sweep byte-identical to a fault-free build.
   void set_link_faults(const fault::LinkFaultModel* faults);
-  [[nodiscard]] const fault::LinkFaultModel* link_faults() const {
-    return link_faults_;
-  }
 
  private:
   /// Shadow-diff verification of one node the incremental sweep skipped.

@@ -20,7 +20,6 @@ const char* to_string(EventType type) {
     case EventType::kRestore: return "restore";
     case EventType::kSleep: return "sleep";
     case EventType::kWake: return "wake";
-    case EventType::kLog: return "log";
     case EventType::kLinkDrop: return "link_drop";
     case EventType::kLinkDefer: return "link_defer";
     case EventType::kSensorFault: return "sensor_fault";
@@ -62,7 +61,6 @@ std::string describe(const Event& e) {
     os << " dir=" << to_string(e.direction);
   }
   os << " value=" << e.value;
-  if (!e.text.empty()) os << " \"" << e.text << '"';
   return os.str();
 }
 

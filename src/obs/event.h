@@ -3,9 +3,9 @@
 // Every externally meaningful action in a run — a budget directive pushed
 // down the PMU tree, a demand report flowing up, a migration with its reason
 // code, a thermal throttle, UPS charge/discharge, a control message crossing
-// a PMU link — is one Event.  Events are plain values: emitters fill the
-// fields that apply and leave the rest at their defaults, and sinks decide
-// what to do with them (see obs/sink.h).  The layer sits below hier/core/sim
+// a PMU link — is one Event.  Events are trivially copyable values: emitters
+// fill the fields that apply and leave the rest at their defaults, and sinks
+// decide what to do with them (see obs/sink.h).  The layer sits below hier/core/sim
 // so every subsystem can emit without dependency cycles; node ids are raw
 // 32-bit values (hier::NodeId is a typedef of the same width).
 #pragma once
@@ -34,10 +34,7 @@ enum class EventType : std::uint8_t {
   kRestore,           ///< degraded application restored to full service
   kSleep,             ///< server consolidated to sleep
   kWake,              ///< server woken for unplaceable demand
-  kLog,               ///< narrative log line routed through the bus
   // Fault-injection and degraded-mode vocabulary (docs/fault_model.md).
-  // Appended after kLog so earlier types keep their numeric values; traces
-  // from fault-free runs are unchanged (schema version stays 1).
   kLinkDrop,          ///< a control message was lost on a PMU link
   kLinkDefer,         ///< a demand report was delayed (delivered next sweep)
   kSensorFault,       ///< sensor override changed (aux encodes kind+mode)
@@ -67,7 +64,7 @@ enum class LinkDirection : std::uint8_t {
 };
 
 struct Event {
-  EventType type = EventType::kLog;
+  EventType type = EventType::kBudgetDirective;
   long tick = 0;
   std::uint32_t node = kNoNode;   ///< primary node (server/PMU)
   std::uint32_t node2 = kNoNode;  ///< secondary node (migration target/parent)
@@ -76,7 +73,6 @@ struct Event {
   LinkDirection direction = LinkDirection::kUp;  ///< kLinkMessage only
   double value = 0.0;  ///< primary quantity (W moved / new budget / J stored)
   double aux = 0.0;    ///< secondary quantity (previous budget, raw W, ...)
-  std::string text;    ///< kLog payload; empty otherwise
 };
 
 /// Stable lowercase identifiers used in JSONL traces and tooling.

@@ -48,7 +48,6 @@ void JsonlTraceSink::on_event(const Event& e) {
   }
   w.key("v").value(e.value);
   if (e.aux != 0.0) w.key("aux").value(e.aux);
-  if (!e.text.empty()) w.key("msg").value(e.text);
   w.end_object();
   w.finish();
   os_ << '\n';
@@ -83,19 +82,6 @@ void CountingSink::on_event(const Event& e) {
 std::uint64_t CountingSink::count(EventType type) const {
   const auto idx = static_cast<std::size_t>(type);
   return idx < by_type_.size() ? by_type_[idx] : 0;
-}
-
-BusLogSink::BusLogSink(EventBus* bus, util::LogLevel level)
-    : bus_(bus), level_(level) {
-  if (!bus_) throw std::invalid_argument("BusLogSink: null bus");
-}
-
-void BusLogSink::write(util::LogLevel level, const std::string& text) {
-  Event e;
-  e.type = EventType::kLog;
-  e.value = static_cast<double>(static_cast<int>(level));
-  e.text = text;
-  bus_->emit(std::move(e));
 }
 
 }  // namespace willow::obs

@@ -6,8 +6,6 @@
 //                    the bus guarantees is a pure function of the scenario.
 //   RingBufferSink   in-memory tail of the stream, for tests and the CLI.
 //   CountingSink     per-type event counts, no storage (overhead probes).
-//   BusLogSink       adapter routing WILLOW_* narrative log lines through an
-//                    EventBus as kLog events (see util/logging.h).
 #pragma once
 
 #include <array>
@@ -19,7 +17,6 @@
 #include <string>
 
 #include "obs/bus.h"
-#include "util/logging.h"
 
 namespace willow::obs {
 
@@ -74,22 +71,6 @@ class CountingSink final : public Sink {
  private:
   std::array<std::uint64_t, 32> by_type_{};
   std::uint64_t total_ = 0;
-};
-
-/// util::LogSink adapter: narrative WILLOW_* log lines become kLog events on
-/// the bus (value = numeric level), unifying the two streams.  Install with
-/// util::set_log_sink(&bridge) for the scope of a run.
-class BusLogSink final : public util::LogSink {
- public:
-  BusLogSink(EventBus* bus, util::LogLevel level);
-
-  [[nodiscard]] util::LogLevel level() const override { return level_; }
-  void set_level(util::LogLevel level) { level_ = level; }
-  void write(util::LogLevel level, const std::string& text) override;
-
- private:
-  EventBus* bus_;
-  util::LogLevel level_;
 };
 
 }  // namespace willow::obs

@@ -48,7 +48,6 @@ class Ups {
   /// Attach an observability bus (not owned; may be null).  step() then emits
   /// kUpsCharge / kUpsDischarge whenever the battery exchanges power.
   void set_event_bus(obs::EventBus* bus) { bus_ = bus; }
-  [[nodiscard]] obs::EventBus* event_bus() const { return bus_; }
 
   /// Fault injection: a failed UPS passes the raw feed through untouched —
   /// no discharge support, no recharge draw — so supply dips that the

@@ -85,8 +85,19 @@ std::vector<std::string> SimConfig::validate() const {
   if (measure_ticks < 0) {
     errors.push_back("measure_ticks: must be >= 0");
   }
+  // Server ranges must fit the fleet; the run would silently clip them.
+  const std::size_t fleet = datacenter.layout.total_servers();
+  const auto check_in_fleet = [&](const std::string& field, std::size_t i,
+                                  std::size_t last_server) {
+    if (last_server >= fleet) {
+      errors.push_back(field + "[" + std::to_string(i) + "]: last_server " +
+                       std::to_string(last_server) + " is outside the " +
+                       std::to_string(fleet) + "-server fleet");
+    }
+  };
   for (std::size_t i = 0; i < ambient_events.size(); ++i) {
     const auto& ev = ambient_events[i];
+    check_in_fleet("ambient_events", i, ev.last_server);
     if (ev.first_server > ev.last_server) {
       errors.push_back("ambient_events[" + std::to_string(i) +
                        "]: first_server > last_server");
@@ -98,6 +109,9 @@ std::vector<std::string> SimConfig::validate() const {
   }
   for (const auto& e : faults.validate("faults.")) {
     errors.push_back(e);
+  }
+  for (std::size_t i = 0; i < faults.crash_events.size(); ++i) {
+    check_in_fleet("faults.crash_event", i, faults.crash_events[i].last_server);
   }
   // threads: any value is meaningful (0 = hardware concurrency, 1 = serial,
   // n = pool of n), so there is nothing to reject.

@@ -1,18 +1,24 @@
 // EventBus semantics: tick stamping, sink fan-out, deterministic shard
-// merging, and the stock sinks (ring buffer, counting, JSONL, log bridge).
+// merging, the stock sinks (ring buffer, counting, JSONL), and the event
+// vocabulary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/bus.h"
 #include "obs/event.h"
 #include "obs/sink.h"
-#include "util/logging.h"
 
 namespace willow::obs {
 namespace {
+
+// Events are copied into shard staging slots and ring buffers by value.
+static_assert(std::is_trivially_copyable_v<Event>);
 
 Event make(EventType type, std::uint32_t node, double value = 0.0) {
   Event e;
@@ -130,23 +136,21 @@ TEST(EventNames, StableIdentifiers) {
   EXPECT_STREQ(to_string(LinkDirection::kDown), "down");
 }
 
-TEST(BusLogSink, RoutesLogLinesAsEvents) {
-  EventBus bus;
-  auto ring = std::make_shared<RingBufferSink>(8);
-  bus.add_sink(ring);
-  BusLogSink bridge(&bus, util::LogLevel::kInfo);
-  auto* previous = util::set_log_sink(&bridge);
-  WILLOW_INFO() << "narrative line";
-  WILLOW_DEBUG() << "suppressed";
-  util::set_log_sink(previous);
-  ASSERT_EQ(ring->events().size(), 1u);
-  EXPECT_EQ(ring->events()[0].type, EventType::kLog);
-  EXPECT_EQ(ring->events()[0].text, "narrative line");
-  EXPECT_EQ(ring->events()[0].value,
-            static_cast<double>(util::LogLevel::kInfo));
-  // After restoring, macros no longer reach the bus.
-  WILLOW_INFO() << "after restore";
-  EXPECT_EQ(ring->events().size(), 1u);
+TEST(EventNames, EveryTypeIsNamedUniquelyAndCounted) {
+  const auto last = static_cast<int>(EventType::kUpsRestore);
+  std::set<std::string> names;
+  CountingSink counter;
+  for (int i = 0; i <= last; ++i) {
+    const auto type = static_cast<EventType>(i);
+    const std::string name = to_string(type);
+    EXPECT_NE(name, "unknown") << "type " << i;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+    counter.on_event(make(type, 0));
+  }
+  EXPECT_EQ(counter.total(), static_cast<std::uint64_t>(last + 1));
+  for (int i = 0; i <= last; ++i) {
+    EXPECT_EQ(counter.count(static_cast<EventType>(i)), 1u) << "type " << i;
+  }
 }
 
 }  // namespace

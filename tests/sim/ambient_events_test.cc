@@ -2,6 +2,9 @@
 // exceeds the thermal limit, and service recovers afterwards.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/simulation.h"
 
 namespace willow::sim {
@@ -70,11 +73,17 @@ TEST(AmbientEvents, HeatWaveReducesServedPowerThenRecovers) {
   EXPECT_GT(after, during * 1.05);
 }
 
-TEST(AmbientEvents, OutOfRangeIndicesClampSafely) {
+TEST(AmbientEvents, OutOfRangeIndicesAreRejected) {
   auto cfg = base_config();
   cfg.measure_ticks = 10;
   cfg.ambient_events = {{2, 10, 99, 40_degC}};  // last_server beyond fleet
-  EXPECT_NO_THROW(run_simulation(std::move(cfg)));
+  try {
+    run_simulation(std::move(cfg));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ambient_events[0]"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

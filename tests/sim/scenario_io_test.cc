@@ -211,6 +211,9 @@ TEST(ScenarioIo, MalformedInputsFail) {
   EXPECT_THROW(parse("priority_levels = -3\n"), std::runtime_error);
   EXPECT_THROW(parse("hot_zone_servers = -5\n"), std::runtime_error);
   EXPECT_THROW(parse("crash_event = 5 -1 -1\n"), std::runtime_error); // index
+  // Server ranges must fit the default 18-server fleet.
+  EXPECT_THROW(parse("crash_event = 40 500 600 8\n"), std::runtime_error);
+  EXPECT_THROW(parse("crash_event = 40 10 25 8\n"), std::runtime_error);
   // Seeds are exact unsigned 64-bit integers, not doubles.
   EXPECT_THROW(parse("seed = -1\n"), std::runtime_error);
   EXPECT_THROW(parse("seed = 1.5\n"), std::runtime_error);

@@ -164,6 +164,20 @@ TEST(SimConfigValidate, BadAmbientEventIsNamedWithIndex) {
   EXPECT_GE(errors.size(), 2u);  // negative tick AND first > last
 }
 
+TEST(SimConfigValidate, ServerRangesOutsideTheFleetAreNamed) {
+  SimConfig cfg;  // 18 servers
+  const auto fleet = cfg.datacenter.layout.total_servers();
+  cfg.ambient_events.push_back({5, 0, fleet - 1, 40_degC});  // fits
+  cfg.ambient_events.push_back({5, 10, fleet, 40_degC});
+  cfg.faults.crash_events.push_back({40, 0, fleet - 1, 8});  // fits
+  cfg.faults.crash_events.push_back({40, 500, 600, 8});
+  const auto errors = cfg.validate();
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_TRUE(mentions(errors, "ambient_events[1]"));
+  EXPECT_TRUE(mentions(errors, "faults.crash_event[1]"));
+  EXPECT_TRUE(mentions(errors, std::to_string(fleet) + "-server fleet"));
+}
+
 TEST(SimulationCtor, ThrowsAggregatedMessageOnInvalidConfig) {
   SimConfig cfg;
   cfg.datacenter.layout.zones = 0;

@@ -5,6 +5,7 @@
 //   willow_cli --check <scenario-file>  # parse + validate only, no run
 //   willow_cli --describe            # scenario keys + help, from the registry
 //   willow_cli --keys                # machine-readable key<TAB>sample table
+//   willow_cli --help | -h           # this usage
 //
 // --set overlays one scenario assignment on top of the file (repeatable;
 // later wins).  Keys are validated against the scenario_keys() registry —
@@ -55,6 +56,15 @@ void describe() {
   }
 }
 
+void usage(std::ostream& os) {
+  os << "usage: willow_cli <scenario-file> [--set key=value]..."
+        " [--csv <prefix>]\n"
+        "                  [--json <file>] [--trace <file>]"
+        " [--metrics]\n"
+        "       willow_cli --check <scenario-file>\n"
+        "       willow_cli --describe | --keys\n";
+}
+
 void print_keys() {
   for (const auto& k : sim::scenario_keys()) {
     std::cout << k.key << '\t' << k.sample << '\n';
@@ -74,6 +84,11 @@ bool write_series(const std::string& path, const char* column,
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc >= 2 && (std::strcmp(argv[1], "--help") == 0 ||
+                    std::strcmp(argv[1], "-h") == 0)) {
+    usage(std::cout);
+    return 0;
+  }
   if (argc >= 2 && std::strcmp(argv[1], "--describe") == 0) {
     describe();
     return 0;
@@ -97,12 +112,7 @@ int main(int argc, char** argv) {
     }
   }
   if (argc < 2) {
-    std::cerr << "usage: willow_cli <scenario-file> [--set key=value]..."
-                 " [--csv <prefix>]\n"
-                 "                  [--json <file>] [--trace <file>]"
-                 " [--metrics]\n"
-                 "       willow_cli --check <scenario-file>\n"
-                 "       willow_cli --describe | --keys\n";
+    usage(std::cerr);
     return 2;
   }
   std::string csv_prefix;
@@ -220,7 +230,7 @@ int main(int argc, char** argv) {
       util::Table servers({"node", "server", "mean_power_w", "mean_temp_c",
                            "mean_utilization", "asleep_fraction"});
       for (std::size_t i = 0; i < r.server_nodes.size(); ++i) {
-        const auto& m = r.server_metrics(r.server_nodes[i]);
+        const auto& m = r.servers[i];  // index-aligned with server_nodes
         servers.row()
             .add(static_cast<long long>(r.server_nodes[i]))
             .add(static_cast<long long>(i + 1))
