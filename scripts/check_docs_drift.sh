@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Docs-drift gate: the scenario-key universe must agree in three places —
-# the parser (src/sim/scenario_io.cc), the key registry (willow_cli --keys),
-# and the manual (docs/scenario_format.md) — in both directions.  Also
-# checks that every local markdown link in README.md and docs/*.md resolves.
+# Docs-drift gate: the scenario key table (scenario_keys(), which the parser
+# dispatches on; willow_cli --keys) and docs/scenario_format.md must list the
+# same keys, and the table's samples and the manual's first example must pass
+# --check.  Also checks that every local markdown link in README.md and
+# docs/*.md resolves.
 #
 #   scripts/check_docs_drift.sh <path-to-willow_cli> [repo-root] [all|keys|links]
 set -euo pipefail
@@ -15,19 +16,14 @@ fail=0
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# --- the three key sets -----------------------------------------------------
+# --- the key sets -----------------------------------------------------------
 
 if [ "$MODE" = "all" ] || [ "$MODE" = "keys" ]; then
 
-# 1. Parser: every `key == "..."` comparison in the scenario reader.
-grep -o 'key == "[a-z0-9_]*"' "$ROOT/src/sim/scenario_io.cc" |
-  sed 's/key == "\(.*\)"/\1/' | sort -u > "$tmp/parser"
-
-# 2. Registry: the scenario_keys() table the CLI exports.
 "$CLI" --keys | cut -f1 | sort -u > "$tmp/registry"
 
-# 3. Manual: every backticked token in the FIRST column of a table row in
-#    docs/scenario_format.md (handles combined rows like `eta1` / `eta2`).
+# Every backticked token in the FIRST column of a table row in
+# docs/scenario_format.md (handles combined rows like `eta1` / `eta2`).
 awk -F'|' '/^\|/ { print $2 }' "$ROOT/docs/scenario_format.md" |
   grep -o '`[a-z0-9_]*`' | tr -d '`' | sort -u > "$tmp/docs"
 
@@ -41,21 +37,24 @@ compare() {  # compare <a-name> <a-file> <b-name> <b-file>
   fi
 }
 
-compare "parser"   "$tmp/parser"   "registry" "$tmp/registry"
-compare "registry" "$tmp/registry" "parser"   "$tmp/parser"
 compare "registry" "$tmp/registry" "docs"     "$tmp/docs"
 compare "docs"     "$tmp/docs"     "registry" "$tmp/registry"
 
 n="$(wc -l < "$tmp/registry")"
-echo "scenario keys: $n in parser/registry/docs, all three agree"
+[ "$fail" = 1 ] || echo "scenario keys: $n in registry and docs, both agree"
 
-# The registry's samples must form a valid scenario when concatenated —
-# this is what makes --keys trustworthy as documentation.
-"$CLI" --keys | awk -F'\t' '{ print $1 " = " $2 }' > "$tmp/all_keys.scn"
-if ! "$CLI" --check "$tmp/all_keys.scn" > /dev/null; then
-  echo "DRIFT: concatenated registry samples fail --check" >&2
-  fail=1
-fi
+# The registry's samples must form a valid scenario when concatenated (this
+# is what makes --keys trustworthy as documentation), and so must the
+# manual's first example.
+"$CLI" --keys | awk -F'\t' '{ print $1 " = " $2 }' > "$tmp/registry_samples"
+awk '/^```/ { n++; next } n == 1' "$ROOT/docs/scenario_format.md" \
+  > "$tmp/scenario_format_example"
+for scn in registry_samples scenario_format_example; do
+  if ! "$CLI" --check "$tmp/$scn" > /dev/null; then
+    echo "DRIFT: $scn fails --check" >&2
+    fail=1
+  fi
+done
 
 fi  # keys
 

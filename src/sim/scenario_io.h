@@ -18,6 +18,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -36,29 +37,28 @@ inline constexpr long kScenarioSchemaVersion = 2;
 /// unsupported schema_version.
 SimConfig parse_scenario(std::istream& in);
 
-/// One entry of the scenario-key registry: a key the parser accepts, a valid
-/// sample right-hand side, and a one-line description.  The samples are
-/// mutually consistent — a file made of every `key = sample` line parses and
-/// validates — which is what scenario_keys_roundtrip_test asserts, pinning
-/// the registry to the parser.  The registry is the single source of truth
-/// for willow_cli's key surface: `--keys` prints the key/sample table,
-/// `--describe` renders key, sample and help, and `--set key=value`
-/// overrides are validated against it.  scripts/check_docs_drift.sh diffs
-/// the key set against docs/scenario_format.md and the parser, so a key
-/// added to the parser without a registry + docs entry fails CI.
-struct ScenarioKeyDoc {
-  std::string key;
-  std::string sample;
-  std::string help;
+/// A scenario being read; defined in scenario_io.cc.
+struct ScenarioDraft;
+
+/// One scenario key: its only declaration.  parse_scenario() dispatches on
+/// the key to `set`, which reads the value with the key's type and range;
+/// willow_cli's --keys, --describe and --set read the same table.  The
+/// samples are mutually consistent: a file made of every `key = sample` line
+/// parses and validates.  scripts/check_docs_drift.sh diffs the key set
+/// against docs/scenario_format.md in both directions.
+struct ScenarioKey {
+  std::string_view key;
+  std::string_view sample;
+  std::string_view help;
+  void (*set)(ScenarioDraft& draft);
 };
 
-/// True iff `key` is in the scenario_keys() registry (== the parser accepts
-/// it; the roundtrip test and drift gate keep the two sets equal).
-bool is_scenario_key(const std::string& key);
+/// Every key parse_scenario() accepts, in the section order of
+/// docs/scenario_format.md.
+const std::vector<ScenarioKey>& scenario_keys();
 
-/// Every key parse_scenario() accepts, in a stable order, with a valid
-/// sample value each.
-const std::vector<ScenarioKeyDoc>& scenario_keys();
+/// True iff `key` is in scenario_keys().
+bool is_scenario_key(const std::string& key);
 
 /// Parse a scenario file; throws std::runtime_error if unreadable.
 SimConfig load_scenario_file(const std::string& path);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -67,6 +68,19 @@ std::vector<std::string> SimConfig::validate() const {
   // The plant would throw on these only once a ThermalModel is built.
   try {
     datacenter.server.thermal.validate();
+    // The build appends apps to each server until they reach this demand; no
+    // server can draw more than its nameplate.
+    const double target = sustainable_dynamic_w() * target_utilization;
+    const double nameplate = datacenter.server.thermal.nameplate.value();
+    if (!(target <= nameplate)) {
+      std::ostringstream msg;
+      msg << "target_utilization: per-server target demand " << target
+          << " W (target_utilization x the sustainable dynamic power of "
+             "datacenter.server.thermal) must be finite and at most "
+             "datacenter.server.thermal.nameplate ("
+          << nameplate << " W)";
+      errors.push_back(msg.str());
+    }
   } catch (const std::invalid_argument& e) {
     errors.push_back(std::string("datacenter.server.thermal: ") + e.what());
   }
@@ -118,6 +132,15 @@ std::vector<std::string> SimConfig::validate() const {
   return errors;
 }
 
+double SimConfig::sustainable_dynamic_w() const {
+  const auto& thermal = datacenter.server.thermal;
+  const double sustainable =
+      thermal.c2 * (thermal.limit.value() - thermal.ambient.value()) /
+      thermal.c1;
+  const double idle = datacenter.server.power_model.static_power().value();
+  return std::max(1e-9, sustainable - idle);
+}
+
 Simulation::Simulation(SimConfig config) : config_(std::move(config)) {
   const auto errors = config_.validate();
   if (!errors.empty()) {
@@ -126,16 +149,6 @@ Simulation::Simulation(SimConfig config) : config_(std::move(config)) {
     throw std::invalid_argument(msg);
   }
   build();
-}
-
-double Simulation::sustainable_dynamic_w() const {
-  const auto& thermal = config_.datacenter.server.thermal;
-  const double sustainable =
-      thermal.c2 * (thermal.limit.value() - thermal.ambient.value()) /
-      thermal.c1;
-  const double idle =
-      config_.datacenter.server.power_model.static_power().value();
-  return std::max(1e-9, sustainable - idle);
 }
 
 void Simulation::build() {
@@ -151,7 +164,7 @@ void Simulation::build() {
   // target_utilization of the baseline thermally sustainable dynamic power.
   workload::MixConfig mix = config_.mix;
   mix.target_mean_per_server =
-      Watts{sustainable_dynamic_w() * config_.target_utilization};
+      Watts{config_.sustainable_dynamic_w() * config_.target_utilization};
   util::Rng rng(config_.seed);
   auto mixes =
       workload::build_datacenter_mix(mix, dc_->servers.size(), ids_, rng);
@@ -308,7 +321,7 @@ Simulation::Run::Run(Simulation& s)
       bus(s.bus_),
       pool(s.pool_.get()),
       n_servers(servers.size()),
-      sustainable(s.sustainable_dynamic_w()),
+      sustainable(s.config_.sustainable_dynamic_w()),
       dt(config.controller.demand_period),
       traffic_units(n_servers, -1.0),
       temps(n_servers, 0.0),

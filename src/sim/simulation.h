@@ -168,6 +168,11 @@ struct SimConfig {
   /// with the aggregated list; CLI front-ends call it directly to report all
   /// problems at once instead of dying on the first.
   [[nodiscard]] std::vector<std::string> validate() const;
+
+  /// Thermally sustainable dynamic power of the baseline server (W): the
+  /// denominator of the simulation's utilization scale.  The build sizes
+  /// each server's workload to target_utilization times this.
+  [[nodiscard]] double sustainable_dynamic_w() const;
 };
 
 struct ServerMetrics {
@@ -273,10 +278,6 @@ class Simulation {
   [[nodiscard]] Datacenter& datacenter() { return *dc_; }
   [[nodiscard]] core::Controller& controller() { return *controller_; }
   [[nodiscard]] net::Fabric& fabric() { return *fabric_; }
-
-  /// Thermally sustainable dynamic power of the baseline server (W): the
-  /// denominator of the simulation's utilization scale.
-  [[nodiscard]] double sustainable_dynamic_w() const;
 
   /// The IPC flows wired at build time (empty unless ipc_chain_fraction > 0).
   [[nodiscard]] const workload::FlowSet& flows() const { return flows_; }

@@ -165,8 +165,9 @@ TEST(ScenarioIo, IpcAndWorkloadKeys) {
 
 TEST(ScenarioIo, ErrorsCarryLineNumbers) {
   // An unknown key, an integer outside its field's range (rejected by the
-  // parser, not left to wrap before validation), and values a model's
-  // constructor or the CSV loader rejects.
+  // parser, not left to wrap before validation), values a model's
+  // constructor or the CSV loader rejects, and a hot zone larger than the
+  // fleet (checked once the layout is known, reported at its own line).
   for (const auto& [text, word] :
        {std::pair<std::string, std::string>{
             "utilization = 0.5\nbogus_key = 3\n", "bogus_key"},
@@ -177,7 +178,9 @@ TEST(ScenarioIo, ErrorsCarryLineNumbers) {
         {"seed = 1\nintensity = constant -1\n", "negative factor"},
         {"seed = 1\nintensity = diurnal 1 0.5 0\n", "period"},
         {"seed = 1\nintensity = trace -1 2\n", "negative factor"},
-        {"seed = 1\nsupply = csv /nonexistent.csv\n", "/nonexistent.csv"}}) {
+        {"seed = 1\nsupply = csv /nonexistent.csv\n", "/nonexistent.csv"},
+        {"servers_per_rack = 1\nhot_zone_servers = 50\n",
+         "hot_zone_servers exceeds fleet size"}}) {
     try {
       parse(text);
       FAIL() << "expected throw: " << text;
@@ -372,7 +375,7 @@ TEST(ScenarioIo, ScenarioKeysRoundtrip) {
   for (const auto& k : keys) {
     EXPECT_FALSE(k.key.empty());
     EXPECT_FALSE(k.sample.empty());
-    text += k.key + " = " + k.sample + "\n";
+    text += std::string(k.key) + " = " + std::string(k.sample) + "\n";
   }
   const auto cfg = parse(text);
   EXPECT_TRUE(cfg.faults.enabled());

@@ -140,12 +140,37 @@ TEST(SimConfigValidate, RunTimeRejectionsAreNamed) {
              c.datacenter.server.thermal.nameplate = util::Watts{-5.0};
            }},
           {"ipc_flow_units", [](SimConfig& c) { c.ipc_flow_units = -1.0; }},
+          // The build sizes each server's workload to target_utilization x
+          // the sustainable dynamic power; past the nameplate (or infinite)
+          // it would append apps until memory runs out.
+          {"datacenter.server.thermal.nameplate",
+           [](SimConfig& c) { c.datacenter.server.thermal.c2 = 1e308; }},
+          {"datacenter.server.thermal.nameplate",
+           [](SimConfig& c) {
+             c.datacenter.server.thermal.limit = util::Celsius{1e300};
+           }},
+          {"datacenter.server.thermal.nameplate",
+           [](SimConfig& c) { c.datacenter.server.thermal.c1 = 1e-300; }},
+          {"target_utilization",
+           [](SimConfig& c) {
+             c.datacenter.server.thermal.nameplate = util::Watts{1.0};
+           }},
       };
   for (const auto& [field, set] : cases) {
     SimConfig cfg;
     set(cfg);
     EXPECT_TRUE(mentions(cfg.validate(), field)) << field << " accepted";
   }
+}
+
+TEST(SimConfigValidate, TargetDemandUpToTheNameplateIsAccepted) {
+  SimConfig cfg;
+  cfg.target_utilization = 1.5;
+  const double target = cfg.sustainable_dynamic_w() * cfg.target_utilization;
+  cfg.datacenter.server.thermal.nameplate = util::Watts{target};
+  EXPECT_TRUE(cfg.validate().empty());
+  cfg.datacenter.server.thermal.nameplate = util::Watts{0.99 * target};
+  EXPECT_TRUE(mentions(cfg.validate(), "target_utilization"));
 }
 
 TEST(SimConfigValidate, CollectsEveryProblemNotJustTheFirst) {
@@ -219,6 +244,23 @@ TEST(ScenarioValidation, StructuralErrorsSurfaceThroughParser) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("datacenter.layout"),
               std::string::npos);
+  }
+}
+
+TEST(ScenarioValidation, UnbuildableTargetDemandFailsTheCheck) {
+  // willow_cli --check used to print ok for these; the run died in the
+  // workload build.
+  for (const char* text : {"thermal_c2 = 1e308\n", "thermal_limit_c = 1e300\n",
+                           "thermal_c2 = 9223372036854775807\n"}) {
+    std::istringstream in(text);
+    try {
+      parse_scenario(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("target_utilization"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -3,13 +3,14 @@
 //   willow_cli <scenario-file> [--set key=value]... [--csv <prefix>]
 //                              [--json <file>] [--trace <file>] [--metrics]
 //   willow_cli --check <scenario-file>  # parse + validate only, no run
-//   willow_cli --describe            # scenario keys + help, from the registry
+//   willow_cli --describe            # scenario keys + help, from the key table
 //   willow_cli --keys                # machine-readable key<TAB>sample table
 //   willow_cli --help | -h           # this usage
 //
 // --set overlays one scenario assignment on top of the file (repeatable;
-// later wins).  Keys are validated against the scenario_keys() registry —
-// the same table --describe/--keys print — so a typo fails before the run.
+// later wins).  Keys are validated against scenario_keys(), the table the
+// parser dispatches on and --describe/--keys print, so a typo fails before
+// the run.
 //
 // The scenario format is documented in sim/scenario_io.h.  With --csv, the
 // recorded time series are written to <prefix>_supply.csv,
@@ -38,13 +39,13 @@ namespace {
 using namespace willow;
 
 void describe() {
-  // Rendered from the scenario_keys() registry — the single source of truth
-  // for the key surface (the roundtrip test pins it to the parser, the
+  // Rendered from scenario_keys(), the parser's own key table (the
   // docs-drift gate pins it to the manual).  Sample values shown.
   std::cout << "Scenario keys (key = value, '#' comments; sample values "
                "shown, docs/scenario_format.md for defaults):\n";
   for (const auto& k : sim::scenario_keys()) {
-    const std::string lhs = "  " + k.key + " = " + k.sample;
+    const std::string lhs =
+        "  " + std::string(k.key) + " = " + std::string(k.sample);
     std::cout << lhs;
     constexpr std::size_t kHelpColumn = 42;
     if (lhs.size() + 2 > kHelpColumn) {
