@@ -262,10 +262,10 @@ void Cluster::refresh_demands(const workload::PoissonDemand& process,
                               std::uint64_t seed, long tick, double intensity,
                               util::ThreadPool* pool,
                               const PerServerHook* per_server) {
+  const util::TickStreams streams(seed, static_cast<std::uint64_t>(tick));
   refresh_sharded(
       [&](std::size_t i, std::vector<Application>& apps) {
-        auto rng = util::tick_stream(seed, static_cast<std::uint64_t>(tick), i,
-                                     util::stream_phase::kDemand);
+        auto rng = streams(i, util::stream_phase::kDemand);
         process.refresh_all(apps, rng, intensity);
       },
       pool, per_server);

@@ -7,8 +7,7 @@ namespace willow::fault {
 // part of the reproducibility contract documented in docs/fault_model.md.
 
 UpVerdict LinkFaultModel::up(std::uint32_t node) const {
-  auto rng = util::tick_stream(seed_, static_cast<std::uint64_t>(tick_), node,
-                               util::stream_phase::kLinkUp);
+  auto rng = streams_(node, util::stream_phase::kLinkUp);
   const bool lose = rng.chance(config_.up_loss);
   const bool defer = rng.chance(config_.up_delay);
   const bool duplicate = rng.chance(config_.up_duplicate);
@@ -20,8 +19,7 @@ UpVerdict LinkFaultModel::up(std::uint32_t node) const {
 }
 
 DownVerdict LinkFaultModel::down(std::uint32_t node) const {
-  auto rng = util::tick_stream(seed_, static_cast<std::uint64_t>(tick_), node,
-                               util::stream_phase::kLinkDown);
+  auto rng = streams_(node, util::stream_phase::kLinkDown);
   const bool lose = rng.chance(config_.down_loss);
   const bool duplicate = rng.chance(config_.down_duplicate);
   DownVerdict v;

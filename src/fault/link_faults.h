@@ -32,13 +32,16 @@ struct DownVerdict {
 class LinkFaultModel {
  public:
   LinkFaultModel(const LinkFaultConfig& config, std::uint64_t seed)
-      : config_(config), seed_(seed) {}
+      : config_(config), seed_(seed), streams_(seed, 0) {}
 
   [[nodiscard]] const LinkFaultConfig& config() const { return config_; }
 
   /// The simulator advances the model's clock once per tick; verdicts drawn
   /// at the same tick are reproducible.
-  void set_tick(long tick) { tick_ = tick; }
+  void set_tick(long tick) {
+    tick_ = tick;
+    streams_ = util::TickStreams(seed_, static_cast<std::uint64_t>(tick));
+  }
   [[nodiscard]] long tick() const { return tick_; }
 
   /// Verdict for `node`'s report to its parent at the current tick.
@@ -52,6 +55,7 @@ class LinkFaultModel {
   LinkFaultConfig config_;
   std::uint64_t seed_;
   long tick_ = 0;
+  util::TickStreams streams_;  ///< the streams of tick_
 };
 
 }  // namespace willow::fault

@@ -15,11 +15,15 @@ bool FaultPlane::sample_sensor(Rng& rng, const SensorFaultKnobs& knobs,
   const bool stuck = rng.chance(knobs.stuck_probability);
   const bool bias = rng.chance(knobs.bias_probability);
   const bool dropout = rng.chance(knobs.dropout_probability);
+  // The episode-length uniform is drawn on every call, onset or not, so the
+  // stream's position never depends on the outcome; its log is taken only
+  // when an onset fires.
+  const double u = mean_ticks > 1.0 ? rng.canonical() : 0.0;
+  if (!stuck && !bias && !dropout) return false;
   // Episodes last at least one tick; the exponential tail reproduces the
   // bursty multi-tick outages real telemetry shows.
   const double extra =
-      mean_ticks > 1.0 ? rng.exponential(mean_ticks - 1.0) : 0.0;
-  if (!stuck && !bias && !dropout) return false;
+      mean_ticks > 1.0 ? util::exponential_of(u, mean_ticks - 1.0) : 0.0;
   out->mode = stuck ? SensorMode::kStuck
                     : (bias ? SensorMode::kBias : SensorMode::kDropout);
   out->param = out->mode == SensorMode::kBias ? knobs.bias : 0.0;
@@ -38,12 +42,12 @@ void FaultPlane::sample_range(long tick, std::size_t begin, std::size_t end,
                               const Callbacks& cb) {
   const bool sensors = config_.power_sensor.any() || config_.temp_sensor.any();
   const bool crashes = config_.crash_probability > 0.0;
+  const util::TickStreams streams(seed_, static_cast<std::uint64_t>(tick));
   for (std::size_t i = begin; i < end; ++i) {
     auto& p = plan_[i];
     const auto& st = state_[i];
     if (sensors) {
-      auto rng = util::tick_stream(seed_, static_cast<std::uint64_t>(tick), i,
-                                   util::stream_phase::kSensor);
+      auto rng = streams(i, util::stream_phase::kSensor);
       // Fixed draw order: power sensor first, then temperature.
       // Onsets are proposed regardless of current state (the draws
       // must not depend on mutable episode state) and discarded in
@@ -56,8 +60,7 @@ void FaultPlane::sample_range(long tick, std::size_t begin, std::size_t end,
                                    &p.temp);
     }
     if (crashes && !st.down && !(cb.skip_crash && cb.skip_crash(i))) {
-      auto rng = util::tick_stream(seed_, static_cast<std::uint64_t>(tick), i,
-                                   util::stream_phase::kCrash);
+      auto rng = streams(i, util::stream_phase::kCrash);
       p.crash = rng.chance(config_.crash_probability);
     }
   }
