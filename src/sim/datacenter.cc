@@ -4,6 +4,20 @@
 
 namespace willow::sim {
 
+std::optional<std::size_t> DatacenterLayout::node_count() const {
+  std::size_t racks = 0;
+  std::size_t servers = 0;
+  std::size_t nodes = 0;
+  if (__builtin_mul_overflow(zones, racks_per_zone, &racks) ||
+      __builtin_mul_overflow(racks, servers_per_rack, &servers) ||
+      __builtin_add_overflow(zones, racks, &nodes) ||
+      __builtin_add_overflow(nodes, servers, &nodes) ||
+      __builtin_add_overflow(nodes, std::size_t{1}, &nodes)) {
+    return std::nullopt;
+  }
+  return nodes;
+}
+
 std::unique_ptr<Datacenter> build_datacenter(const DatacenterOptions& options) {
   auto dc = std::make_unique<Datacenter>(options.smoothing_alpha);
   auto& cluster = dc->cluster;

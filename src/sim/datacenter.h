@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/cluster.h"
@@ -24,6 +25,17 @@ struct DatacenterLayout {
 
   [[nodiscard]] std::size_t total_servers() const {
     return zones * racks_per_zone * servers_per_rack;
+  }
+
+  /// PMU tree nodes of this layout (1 + zones + zones * racks_per_zone +
+  /// servers), or nullopt when the count overflows size_t.
+  [[nodiscard]] std::optional<std::size_t> node_count() const;
+
+  /// True when every node of the layout gets a hier::NodeId below
+  /// hier::kNoNode (NodeId is 32-bit).
+  [[nodiscard]] bool fits_node_ids() const {
+    const auto nodes = node_count();
+    return nodes && *nodes < hier::kNoNode;
   }
 };
 

@@ -567,6 +567,11 @@ SimConfig parse_scenario(std::istream& in) {
     entry->set(d);
   }
   if (d.hot_zone_servers > 0) {
+    // Check the layout before sizing a per-server vector by it.
+    if (!d.cfg.datacenter.layout.fits_node_ids()) {
+      fail(d.hot_zone_line,
+           "hot_zone_servers: the layout has too many nodes to build");
+    }
     const auto total = d.cfg.datacenter.layout.total_servers();
     if (d.hot_zone_servers > total) {
       fail(d.hot_zone_line, "hot_zone_servers exceeds fleet size");

@@ -84,5 +84,30 @@ TEST(ScenarioFuzz, EveryKeyRejectsOrConstructs) {
   EXPECT_LT(accepted, inputs);
 }
 
+TEST(ScenarioFuzz, OversizedLayoutsFailBeforeTheHotZoneIsSized) {
+  // Each dimension set past the NodeId range, then a hot zone: the parser
+  // must fail with a line number, never allocate a per-server vector.
+  int rejected = 0;
+  for (const char* key : {"zones", "racks_per_zone", "servers_per_rack"}) {
+    for (const char* token : {"2147483648", "4294967296",
+                              "9223372036854775807",
+                              "18446744073709551615"}) {
+      const std::string text = std::string(key) + " = " + token +
+                               "\nhot_zone_servers = 4\n";
+      try {
+        std::istringstream in(text);
+        parse_scenario(in);
+        ADD_FAILURE() << "accepted:\n" << text;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("scenario line"),
+                  std::string::npos)
+            << e.what();
+        ++rejected;
+      }
+    }
+  }
+  EXPECT_EQ(rejected, 12);
+}
+
 }  // namespace
 }  // namespace willow::sim

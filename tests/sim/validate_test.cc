@@ -37,6 +37,30 @@ TEST(SimConfigValidate, ZeroServerLayoutIsNamed) {
   EXPECT_TRUE(mentions(cfg.validate(), "datacenter.layout"));
 }
 
+TEST(SimConfigValidate, LayoutsPastTheNodeIdRangeAreNamed) {
+  // 1 + zones + racks + servers must stay below hier::kNoNode, and a layout
+  // whose products overflow size_t must not wrap into a small fleet.
+  constexpr std::size_t kNoNode = hier::kNoNode;
+  const std::vector<DatacenterLayout> too_large = {
+      {std::size_t{1} << 31, 3, 3},
+      {std::size_t{1} << 32, std::size_t{1} << 32, 1},  // product wraps to 0
+      {4, 2, std::size_t{1} << 62},
+      {std::numeric_limits<std::size_t>::max(), 1, 1},
+      {1, 1, kNoNode - 3},  // exactly kNoNode nodes
+  };
+  for (const auto& layout : too_large) {
+    SimConfig cfg;
+    cfg.datacenter.layout = layout;
+    EXPECT_TRUE(mentions(cfg.validate(), "too many nodes"))
+        << layout.zones << " x " << layout.racks_per_zone << " x "
+        << layout.servers_per_rack;
+  }
+  SimConfig largest;
+  largest.datacenter.layout = {1, 1, kNoNode - 4};
+  EXPECT_EQ(largest.datacenter.layout.node_count(), kNoNode - 1);
+  EXPECT_TRUE(largest.validate().empty());
+}
+
 TEST(SimConfigValidate, NegativeWattagesAreNamed) {
   SimConfig cfg;
   cfg.demand_quantum = util::Watts{-1.0};
@@ -261,6 +285,20 @@ TEST(ScenarioValidation, UnbuildableTargetDemandFailsTheCheck) {
                 std::string::npos)
           << e.what();
     }
+  }
+}
+
+TEST(ScenarioValidation, HotZoneOverAnOversizedLayoutNamesItsLine) {
+  // The hot zone sizes a per-server vector by the fleet; an oversized layout
+  // used to surface as std::bad_alloc with no line number.
+  std::istringstream in("zones = 2147483648\nhot_zone_servers = 4\n");
+  try {
+    parse_scenario(in);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("hot_zone_servers"), std::string::npos) << what;
   }
 }
 
