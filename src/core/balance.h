@@ -20,19 +20,30 @@ using hier::NodeId;
 using hier::Tree;
 using util::Watts;
 
+// The per-node terms are inline: the controller evaluates them per server
+// in its demand and consolidation sweeps.
+
 /// Eq. (5): positive part of demand minus budget for one node.
-[[nodiscard]] Watts node_deficit(const hier::Node& node);
+[[nodiscard]] inline Watts node_deficit(const hier::Node& node) {
+  return util::positive_part(node.smoothed_demand() - node.budget());
+}
 
 /// Eq. (6): positive part of budget minus demand for one node.
-[[nodiscard]] Watts node_surplus(const hier::Node& node);
+[[nodiscard]] inline Watts node_surplus(const hier::Node& node) {
+  return util::positive_part(node.budget() - node.smoothed_demand());
+}
 
 /// Eq. (5)/(6) evaluated on the node's *reported* demand — what the node last
 /// sent to its parent — instead of its instantaneous smoothed demand.  The
 /// controller acts on these so that demand movement inside the report
 /// dead-band cannot trigger any re-budgeting or migration; with a dead-band
 /// of 0 they are bitwise identical to node_deficit / node_surplus.
-[[nodiscard]] Watts reported_deficit(const hier::Node& node);
-[[nodiscard]] Watts reported_surplus(const hier::Node& node);
+[[nodiscard]] inline Watts reported_deficit(const hier::Node& node) {
+  return util::positive_part(node.reported_demand() - node.budget());
+}
+[[nodiscard]] inline Watts reported_surplus(const hier::Node& node) {
+  return util::positive_part(node.budget() - node.reported_demand());
+}
 
 struct LevelBalance {
   Watts max_deficit{0.0};      ///< Eq. (7)
@@ -43,7 +54,8 @@ struct LevelBalance {
   Watts residual_deficit{0.0}; ///< [total_deficit - total_surplus]+
 };
 
-/// Balance metrics over all *active* nodes at the given paper-level.
+/// Balance metrics over all *active* nodes at the given paper-level: one pass
+/// over the tree's list for that level, in creation order.
 [[nodiscard]] LevelBalance level_balance(const Tree& tree, int level);
 
 }  // namespace willow::core

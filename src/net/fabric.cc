@@ -5,7 +5,10 @@
 namespace willow::net {
 
 Fabric::Fabric(const hier::Tree& tree, FabricConfig config)
-    : tree_(tree), config_(config), group_index_(tree.size(), -1) {
+    : tree_(tree),
+      config_(config),
+      parent_(tree.size(), hier::kNoNode),
+      group_index_(tree.size(), -1) {
   if (config_.redundancy == 0) {
     throw std::invalid_argument("Fabric: redundancy must be >= 1");
   }
@@ -13,6 +16,7 @@ Fabric::Fabric(const hier::Tree& tree, FabricConfig config)
     throw std::invalid_argument("Fabric: switch_capacity must be > 0");
   }
   for (NodeId id : tree.all_nodes()) {
+    parent_[id] = tree.node(id).parent();
     if (!tree.node(id).is_leaf()) {
       group_index_[id] = static_cast<int>(groups_.size());
       groups_.push_back(id);
@@ -59,9 +63,13 @@ void Fabric::add_server_traffic(NodeId server, double units) {
   if (units < 0.0) {
     throw std::invalid_argument("add_server_traffic: negative units");
   }
-  for (NodeId cur = tree_.node(server).parent(); cur != hier::kNoNode;
-       cur = tree_.node(cur).parent()) {
-    auto& s = mutable_stats(cur);
+  if (server >= parent_.size()) {
+    throw std::out_of_range("add_server_traffic: node outside the fabric");
+  }
+  // Every ancestor of a node the fabric was built over is an internal node
+  // of that tree, so it has a group.
+  for (NodeId cur = parent_[server]; cur != hier::kNoNode; cur = parent_[cur]) {
+    auto& s = stats_[static_cast<std::size_t>(group_index_[cur])];
     s.period_traffic += units;
     s.total_traffic += units;
   }

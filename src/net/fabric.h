@@ -71,7 +71,9 @@ class Fabric {
   void begin_period();
 
   /// Base query traffic for one server this period: deposited on every
-  /// switch group from the root to the server's parent.
+  /// switch group from the server's parent up to the root.  Walks the shape
+  /// tables built at construction; throws std::out_of_range for a node added
+  /// to the tree after the fabric was built.
   void add_server_traffic(NodeId server, double units);
 
   /// A migration of `payload_units` from one server to another: traffic and
@@ -111,7 +113,11 @@ class Fabric {
   const hier::Tree& tree_;
   FabricConfig config_;
   std::vector<NodeId> groups_;
-  std::vector<int> group_index_;  ///< NodeId -> index into stats_, -1 if none
+  /// The tree's shape at construction, for the per-server deposit walk:
+  /// NodeId -> parent (kNoNode at the root) and NodeId -> index into stats_
+  /// (-1 for a leaf).
+  std::vector<NodeId> parent_;
+  std::vector<int> group_index_;
   std::vector<GroupStats> stats_;
 };
 

@@ -45,8 +45,9 @@ class Ewma {
   }
 
  private:
-  double alpha_;
+  // value_ first: per-node sweeps read it next to the node's budget.
   T value_{};
+  double alpha_;
   bool seeded_ = false;
 };
 
