@@ -13,6 +13,7 @@
 // `unallocated` (the quantity step (2) may harness).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "util/units.h"
@@ -51,7 +52,7 @@ struct AllocationScratch {
   std::vector<double> cap;
   std::vector<double> value;
   std::vector<double> limit;
-  std::vector<char> frozen;
+  std::vector<std::uint32_t> live;  ///< entries a water-fill round visits
 };
 
 /// allocate_proportional() into caller-owned `out`, working in `scratch`.

@@ -21,50 +21,6 @@ ThermalModel::ThermalModel(ThermalParams params, Celsius initial)
   params_.validate();
 }
 
-void ThermalModel::step(Watts p, Seconds dt) {
-  temperature_ = predict(p, dt);
-}
-
-double ThermalModel::decay_for(double dt) const {
-  if (dt != cached_decay_dt_) {
-    cached_decay_ = std::exp(-params_.c2 * dt);
-    cached_decay_dt_ = dt;
-  }
-  return cached_decay_;
-}
-
-Celsius ThermalModel::predict(Watts p, Seconds dt) const {
-  if (dt.value() < 0.0) throw std::invalid_argument("ThermalModel: dt < 0");
-  const double decay = decay_for(dt.value());
-  const double heated = p.value() * params_.c1 / params_.c2 * (1.0 - decay);
-  return Celsius{params_.ambient.value() + heated +
-                 (temperature_.value() - params_.ambient.value()) * decay};
-}
-
-Watts ThermalModel::power_limit(Seconds window) const {
-  if (window.value() <= 0.0) {
-    throw std::invalid_argument("ThermalModel::power_limit: window must be > 0");
-  }
-  const double decay = decay_for(window.value());
-  const double headroom = params_.limit.value() - params_.ambient.value() -
-                          (temperature_.value() - params_.ambient.value()) *
-                              decay;
-  double p = headroom * params_.c2 / (params_.c1 * (1.0 - decay));
-  if (p < 0.0) p = 0.0;
-  if (p > params_.nameplate.value()) p = params_.nameplate.value();
-  return Watts{p};
-}
-
-Celsius ThermalModel::steady_state(Watts p) const {
-  return Celsius{params_.ambient.value() +
-                 p.value() * params_.c1 / params_.c2};
-}
-
-Watts ThermalModel::steady_state_power_limit() const {
-  return Watts{(params_.limit.value() - params_.ambient.value()) * params_.c2 /
-               params_.c1};
-}
-
 Watts power_limit_from(const ThermalParams& params, Celsius t0,
                        Seconds window) {
   if (window.value() <= 0.0) {

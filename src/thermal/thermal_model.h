@@ -17,6 +17,9 @@
 // abstract adjustment windows).
 #pragma once
 
+#include <cmath>
+#include <stdexcept>
+
 #include "util/units.h"
 
 namespace willow::thermal {
@@ -60,24 +63,53 @@ class ThermalModel {
   /// Change the ambient temperature (hot/cold zone scenarios, Sec. V-B3).
   void set_ambient(Celsius ta) { params_.ambient = ta; }
 
+  // The evolution and limits are inline: the tick evaluates them for every
+  // server, in the thermal step, the thermal clamp and the consolidation
+  // sweep.
+
   /// Advance by dt under constant power draw p (exact, Eq. 2).
-  void step(Watts p, Seconds dt);
+  void step(Watts p, Seconds dt) { temperature_ = predict(p, dt); }
 
   /// Predicted temperature after holding power p for dt, without mutating
   /// state (Eq. 3 used predictively for migration decisions).
-  [[nodiscard]] Celsius predict(Watts p, Seconds dt) const;
+  [[nodiscard]] Celsius predict(Watts p, Seconds dt) const {
+    if (dt.value() < 0.0) throw std::invalid_argument("ThermalModel: dt < 0");
+    const double decay = decay_for(dt.value());
+    const double heated = p.value() * params_.c1 / params_.c2 * (1.0 - decay);
+    return Celsius{params_.ambient.value() + heated +
+                   (temperature_.value() - params_.ambient.value()) * decay};
+  }
 
   /// Maximum constant power that keeps T(t + window) <= T_limit, clamped to
   /// [0, nameplate] (Eq. 3 inverted).  This is the thermal *hard constraint*
   /// on the node's power budget (Sec. IV-D).
-  [[nodiscard]] Watts power_limit(Seconds window) const;
+  [[nodiscard]] Watts power_limit(Seconds window) const {
+    if (window.value() <= 0.0) {
+      throw std::invalid_argument(
+          "ThermalModel::power_limit: window must be > 0");
+    }
+    const double decay = decay_for(window.value());
+    const double headroom = params_.limit.value() - params_.ambient.value() -
+                            (temperature_.value() - params_.ambient.value()) *
+                                decay;
+    double p = headroom * params_.c2 / (params_.c1 * (1.0 - decay));
+    if (p < 0.0) p = 0.0;
+    if (p > params_.nameplate.value()) p = params_.nameplate.value();
+    return Watts{p};
+  }
 
   /// Steady-state temperature under constant power p.
-  [[nodiscard]] Celsius steady_state(Watts p) const;
+  [[nodiscard]] Celsius steady_state(Watts p) const {
+    return Celsius{params_.ambient.value() +
+                   p.value() * params_.c1 / params_.c2};
+  }
 
   /// Power that yields steady-state temperature exactly T_limit
   /// (= c2 (T_limit - Ta) / c1), unclamped by nameplate.
-  [[nodiscard]] Watts steady_state_power_limit() const;
+  [[nodiscard]] Watts steady_state_power_limit() const {
+    return Watts{(params_.limit.value() - params_.ambient.value()) *
+                 params_.c2 / params_.c1};
+  }
 
   /// True when the component is currently at or above its thermal ceiling.
   [[nodiscard]] bool over_limit() const {
@@ -90,7 +122,13 @@ class ThermalModel {
   /// immutable after construction (set_ambient changes only Ta), so the
   /// transcendental is paid once per distinct dt instead of per server per
   /// tick.  Identical bits to the uncached value by construction.
-  [[nodiscard]] double decay_for(double dt) const;
+  [[nodiscard]] double decay_for(double dt) const {
+    if (dt != cached_decay_dt_) {
+      cached_decay_ = std::exp(-params_.c2 * dt);
+      cached_decay_dt_ = dt;
+    }
+    return cached_decay_;
+  }
 
   ThermalParams params_;
   Celsius temperature_;

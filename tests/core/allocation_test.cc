@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "util/rng.h"
@@ -208,6 +210,131 @@ TEST(Allocation, ScratchReuseMatchesFreshCallsBitwise) {
                                   over_caps.caps)
                 .unallocated.value(),
             0.0);
+}
+
+// The water-fill kernel as it stood before it kept a compacted list of live
+// entries: every round rescans all entries and skips the frozen ones.  The
+// production kernel must reproduce it bit for bit.
+double reference_water_fill(double amount, const std::vector<double>& weights,
+                            const std::vector<double>& limit,
+                            std::vector<double>& value) {
+  constexpr double kEps = 1e-12;
+  const std::size_t n = weights.size();
+  std::vector<char> frozen(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (weights[i] <= kEps || limit[i] - value[i] <= kEps) frozen[i] = 1;
+  }
+  while (amount > kEps) {
+    double wsum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!frozen[i]) wsum += weights[i];
+    }
+    if (wsum <= kEps) break;
+    bool clamped = false;
+    double placed = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (frozen[i]) continue;
+      const double share = amount * weights[i] / wsum;
+      const double headroom = limit[i] - value[i];
+      if (share >= headroom - kEps) {
+        value[i] += headroom;
+        placed += headroom;
+        frozen[i] = 1;
+        clamped = true;
+      } else {
+        value[i] += share;
+        placed += share;
+      }
+    }
+    amount -= placed;
+    if (!clamped) {
+      amount = std::max(0.0, amount);
+      break;
+    }
+  }
+  return std::max(0.0, amount);
+}
+
+AllocationResult reference_allocate(Watts total,
+                                    const std::vector<Watts>& demands,
+                                    const std::vector<Watts>& caps) {
+  constexpr double kEps = 1e-12;
+  const std::size_t n = demands.size();
+  AllocationResult out;
+  out.budgets.assign(n, Watts{0.0});
+  if (n == 0) {
+    out.unallocated = total;
+    return out;
+  }
+  std::vector<double> demand(n), cap(n), value(n, 0.0), limit(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    demand[i] = std::max(0.0, demands[i].value());
+    cap[i] = std::max(0.0, caps[i].value());
+    if (std::isinf(cap[i])) cap[i] = std::numeric_limits<double>::max();
+  }
+  for (std::size_t i = 0; i < n; ++i) limit[i] = std::min(demand[i], cap[i]);
+  double leftover = reference_water_fill(total.value(), demand, limit, value);
+  if (leftover > kEps) {
+    leftover = reference_water_fill(leftover, demand, cap, value);
+  }
+  if (leftover > kEps) {
+    for (std::size_t i = 0; i < n; ++i) limit[i] = cap[i] - value[i];
+    leftover = reference_water_fill(leftover, limit, cap, value);
+  }
+  for (std::size_t i = 0; i < n; ++i) out.budgets[i] = Watts{value[i]};
+  out.unallocated = Watts{leftover};
+  return out;
+}
+
+TEST(Allocation, WaterFillMatchesTheRescanningKernelBitwise) {
+  // Random instances biased toward the kernel's edge cases: tied demands
+  // and caps (several entries clamp in one round), zero demands (zero
+  // weights), infinite caps, totals above every cap (all entries clamp and
+  // budget is left over) and wide fan-outs (many rounds).
+  util::Rng rng(2024);
+  AllocationScratch scratch;
+  AllocationResult out;
+  std::size_t clamped_all = 0;
+  for (int round = 0; round < 20000; ++round) {
+    const int n = rng.chance(0.1) ? rng.uniform_int(40, 200)
+                                  : rng.uniform_int(1, 12);
+    const double tie_demand = rng.uniform(0.0, 50.0);
+    const double tie_cap = rng.uniform(0.0, 80.0);
+    std::vector<Watts> demands, caps;
+    for (int i = 0; i < n; ++i) {
+      double d = rng.uniform(0.0, 100.0);
+      if (rng.chance(0.3)) d = tie_demand;
+      if (rng.chance(0.15)) d = 0.0;
+      double c = rng.uniform(0.0, 150.0);
+      if (rng.chance(0.3)) c = tie_cap;
+      if (rng.chance(0.15)) c = kInf;
+      if (rng.chance(0.05)) c = 0.0;
+      demands.emplace_back(d);
+      caps.emplace_back(c);
+    }
+    double total = rng.uniform(0.0, 120.0 * n);
+    if (rng.chance(0.2)) {
+      total = 0.0;
+      for (const Watts c : caps) {
+        total += std::isinf(c.value()) ? 100.0 : c.value();
+      }
+      total += rng.uniform(0.0, 50.0);
+    }
+    const AllocationResult want = reference_allocate(Watts{total}, demands, caps);
+    allocate_proportional(Watts{total}, demands, caps, scratch, out);
+    ASSERT_EQ(out.budgets.size(), want.budgets.size());
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(bits_of(out.budgets[i].value()),
+                bits_of(want.budgets[i].value()))
+          << "round " << round << " child " << i;
+    }
+    ASSERT_EQ(bits_of(out.unallocated.value()),
+              bits_of(want.unallocated.value()))
+        << "round " << round;
+    if (want.unallocated.value() > 0.0) ++clamped_all;
+  }
+  // The all-clamped regime was really exercised.
+  EXPECT_GT(clamped_all, 100u);
 }
 
 class AllocationRandom : public ::testing::TestWithParam<unsigned long long> {};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace willow::hier {
 namespace {
 
@@ -64,6 +66,50 @@ TEST(Tree, PaperLevelNumbering) {
   EXPECT_EQ(f.tree.nodes_at_level(0).size(), 4u);
   EXPECT_EQ(f.tree.nodes_at_level(1).size(), 2u);
   EXPECT_EQ(f.tree.nodes_at_level(2).size(), 1u);
+}
+
+TEST(Tree, NodesAtLevelFollowAddChild) {
+  // The per-level lists are kept as nodes are added; a level is counted
+  // from the bottom, so deepening the tree renumbers every existing level.
+  const auto scan = [](const Tree& t, int level) {
+    std::vector<NodeId> out;
+    for (NodeId id = 0; id < t.size(); ++id) {
+      if (t.level_of(id) == level) out.push_back(id);
+    }
+    return out;
+  };
+  const auto expect_matches_scan = [&](const Tree& t) {
+    for (int level = -1; level <= t.height(); ++level) {
+      EXPECT_EQ(t.nodes_at_level(level), scan(t, level))
+          << "level " << level << " of a tree of height " << t.height();
+    }
+  };
+  Tree empty(0.5);
+  EXPECT_TRUE(empty.nodes_at_level(0).empty());
+
+  SmallTree f;
+  expect_matches_scan(f.tree);
+  // Grow a level that exists: a new server under rack1 joins level 0 in
+  // creation order.
+  const NodeId s12 = f.tree.add_child(f.rack1, "s12", NodeKind::kServer);
+  expect_matches_scan(f.tree);
+  EXPECT_EQ(f.tree.nodes_at_level(0).back(), s12);
+  // Deepen the tree: a child under a server moves the old leaves to level 1
+  // and the root to level 3.
+  const NodeId vm = f.tree.add_child(f.s01, "vm", NodeKind::kGeneric);
+  expect_matches_scan(f.tree);
+  EXPECT_EQ(f.tree.nodes_at_level(0), std::vector<NodeId>{vm});
+  EXPECT_EQ(f.tree.nodes_at_level(3), std::vector<NodeId>{f.root});
+  // Interleave more growth at several depths.
+  f.tree.add_child(f.root, "rack2", NodeKind::kRack);
+  f.tree.add_child(vm, "deeper", NodeKind::kGeneric);
+  f.tree.add_child(f.s00, "vm2", NodeKind::kGeneric);
+  expect_matches_scan(f.tree);
+  // A copy keeps its own lists.
+  Tree copy = f.tree;
+  copy.add_child(copy.root(), "rack3", NodeKind::kRack);
+  expect_matches_scan(copy);
+  expect_matches_scan(f.tree);
 }
 
 TEST(Tree, MaxBranchingAtLevel) {

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <string>
+
+#include "core/balance.h"
+#include "workload/mix.h"
 
 namespace willow::sim {
 namespace {
@@ -106,6 +112,72 @@ TEST(Simulation, ConsolidationSleepsServersAtLowUtilization) {
   for (const auto& s : result.servers) total_asleep += s.asleep_fraction;
   EXPECT_GT(total_asleep, 0.5);  // at least some consolidation happened
   EXPECT_GT(result.controller_stats.consolidation_migrations, 0u);
+}
+
+std::uint64_t bits_of(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+TEST(Simulation, RecordPathMatchesABruteForceScan) {
+  // A churned fleet at low load, so servers sleep and wake and hosted sets
+  // change under the record stage.  The last recorded tick came from the
+  // thermal batch's columns; the library calls are one pass each.  All four
+  // must equal a scan written out from the definitions, bit for bit.
+  auto cfg = base_config(0.2);
+  cfg.datacenter.layout = {2, 3, 8};
+  cfg.churn_probability = 0.08;
+  cfg.intensity = std::make_shared<workload::DiurnalIntensity>(
+      1.4, 0.6, util::Seconds{30.0});
+  Simulation sim(cfg);
+  const SimResult r = sim.run();
+  const auto& cluster = sim.datacenter().cluster;
+  const auto& tree = cluster.tree();
+
+  std::size_t asleep = 0;
+  Watts it_power{0.0};
+  for (const hier::NodeId id : sim.datacenter().servers) {
+    const auto& srv = cluster.server(id);
+    if (srv.asleep() || srv.crashed()) {
+      asleep += srv.asleep() ? 1 : 0;
+      continue;
+    }
+    const Watts demand = srv.idle_floor() +
+                         workload::total_demand(srv.apps()) +
+                         srv.temporary_demand();
+    const Watts budget = tree.node(id).budget();
+    const Watts ceiling = budget < srv.idle_floor() ? srv.idle_floor() : budget;
+    it_power += demand < ceiling ? demand : ceiling;
+  }
+  ASSERT_GT(asleep, 0u) << "the fleet should be partly asleep";
+  ASSERT_GT(r.churn_arrivals, 0u);
+
+  Watts max_deficit{0.0}, max_surplus{0.0}, total_deficit{0.0},
+      total_surplus{0.0};
+  for (hier::NodeId id = 0; id < tree.size(); ++id) {
+    if (tree.level_of(id) != 0 || !tree.node(id).active()) continue;
+    const auto& n = tree.node(id);
+    const double gap = (n.smoothed_demand() - n.budget()).value();
+    const double room = (n.budget() - n.smoothed_demand()).value();
+    const Watts d{gap > 0.0 ? gap : 0.0};
+    const Watts s{room > 0.0 ? room : 0.0};
+    if (max_deficit < d) max_deficit = d;
+    if (max_surplus < s) max_surplus = s;
+    total_deficit += d;
+    total_surplus += s;
+  }
+  const double imbalance =
+      (max_deficit + (max_deficit < max_surplus ? max_deficit : max_surplus))
+          .value();
+
+  const auto lb = core::level_balance(tree, 0);
+  EXPECT_EQ(bits_of(lb.max_deficit.value()), bits_of(max_deficit.value()));
+  EXPECT_EQ(bits_of(lb.max_surplus.value()), bits_of(max_surplus.value()));
+  EXPECT_EQ(bits_of(lb.total_deficit.value()), bits_of(total_deficit.value()));
+  EXPECT_EQ(bits_of(lb.total_surplus.value()), bits_of(total_surplus.value()));
+  EXPECT_EQ(bits_of(lb.imbalance.value()), bits_of(imbalance));
+  EXPECT_EQ(bits_of(cluster.total_consumed().value()),
+            bits_of(it_power.value()));
+  // Nothing moves the plant between the last record and the end of run().
+  EXPECT_EQ(bits_of(r.imbalance.last()), bits_of(imbalance));
+  EXPECT_EQ(bits_of(r.total_power.last()), bits_of(it_power.value()));
 }
 
 TEST(Simulation, HighUtilizationLeavesNoRoomToConsolidate) {
