@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <compare>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 namespace willow::util {
@@ -81,6 +85,38 @@ TEST(Units, MinMax) {
   EXPECT_EQ(min(3_W, 7_W), 3_W);
   EXPECT_EQ(max(3_W, 7_W), 7_W);
   EXPECT_EQ(min(7_W, 7_W), 7_W);
+}
+
+TEST(Units, SelectsMatchTheObviousSelectsBitwise) {
+  // positive_part, min, max and the ordering operators work on raw doubles
+  // and compile without branches; they must return exactly what the obvious
+  // selects over the defaulted <=> return, signed zeros and NaN included.
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double values[] = {0.0,  -0.0, 1.5,  -1.5, 1e-310, -1e-310,
+                           1e308, -1e308, inf, -inf, nan,   -nan};
+  for (const double x : values) {
+    const Watts q{x};
+    const Watts want_pp = q.value() > 0.0 ? q : Watts{0.0};
+    EXPECT_EQ(bits(positive_part(q).value()), bits(want_pp.value())) << x;
+    EXPECT_EQ(bits(keep_or_zero(true, x)), bits(x)) << x;
+    EXPECT_EQ(bits(keep_or_zero(false, x)), bits(0.0)) << x;
+    for (const double y : values) {
+      const Watts r{y};
+      const auto order = q <=> r;
+      EXPECT_EQ(q < r, order < 0) << x << " " << y;
+      EXPECT_EQ(q > r, order > 0) << x << " " << y;
+      EXPECT_EQ(q <= r, order <= 0) << x << " " << y;
+      EXPECT_EQ(q >= r, order >= 0) << x << " " << y;
+      const Watts want_min = order < 0 ? q : r;
+      const Watts want_max = order < 0 ? r : q;
+      EXPECT_EQ(bits(min(q, r).value()), bits(want_min.value()))
+          << x << " " << y;
+      EXPECT_EQ(bits(max(q, r).value()), bits(want_max.value()))
+          << x << " " << y;
+    }
+  }
 }
 
 TEST(Units, StreamOutput) {
