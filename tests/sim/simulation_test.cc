@@ -311,6 +311,35 @@ TEST(SimulationTickLoop, PhaseTimersCountTheirTicks) {
   }
 }
 
+TEST(SimulationTickLoop, ControllerSubPhaseTimersSplitTheControllerSpan) {
+  // control.phase.* time Controller::tick's sub-phases.  The four that run
+  // every tick count every tick; the supply pass runs on tick 1 and every
+  // eta1-th; together they fit inside sim.phase.controller, which times the
+  // whole call from outside.
+  auto cfg = base_config(0.5);
+  cfg.warmup_ticks = 5;
+  cfg.measure_ticks = 23;
+  const auto m = run_simulation(cfg).metrics;
+  for (const char* per_tick :
+       {"control.phase.observe", "control.phase.thermal",
+        "control.phase.demand.plan", "control.phase.revive"}) {
+    EXPECT_EQ(timer_count(m, per_tick), 28u) << per_tick;
+  }
+  EXPECT_EQ(timer_count(m, "control.phase.supply"), 1u + 28u / 4u);
+  EXPECT_EQ(timer_count(m, "control.phase.consolidate.judge"), 28u / 7u);
+  double sub_phases = 0.0;
+  std::size_t phases = 0;
+  for (const auto& t : m.timers) {
+    if (t.name.rfind("control.phase.", 0) != 0) continue;
+    sub_phases += t.total_seconds;
+    ++phases;
+  }
+  EXPECT_EQ(phases, 11u);
+  const auto* controller = find_timer(m, "sim.phase.controller");
+  ASSERT_NE(controller, nullptr);
+  EXPECT_LE(sub_phases, controller->total_seconds);
+}
+
 TEST(SimulationTickLoop, ArmedFaultPlaneTimesEveryTick) {
   auto cfg = base_config(0.5);
   cfg.warmup_ticks = 5;
