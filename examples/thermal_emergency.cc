@@ -71,7 +71,7 @@ int main() {
     if (t == 20) {
       std::cout << ">>> t=20: rack0 cooling fails, ambient 25 -> 45 degC\n";
       for (int s = 0; s < 3; ++s) {
-        cluster.server(servers[s]).thermal().set_ambient(45_degC);
+        cluster.set_ambient(servers[s], 45_degC);
       }
     }
     cluster.refresh_demands(demand, rng);

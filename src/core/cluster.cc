@@ -19,7 +19,8 @@ void ManagedServer::add_temporary_demand(Watts w, int periods) {
   temp_demand_ += w;
 }
 
-void ManagedServer::age_temporary_list() {
+void ManagedServer::age_temporary_demand() {
+  if (temp_.empty()) return;
   Watts remaining{0.0};
   auto keep = temp_.begin();
   for (auto& [w, periods] : temp_) {
@@ -60,6 +61,33 @@ util::Celsius ManagedServer::sensed_temperature() const {
   return actual;
 }
 
+Watts ManagedServer::sensed_power_limit(Seconds window) const {
+  Watts thermal_limit{0.0};
+  switch (temp_sensor_.mode) {
+    case fault::SensorMode::kOk:
+      thermal_limit = thermal_.power_limit(window);
+      break;
+    case fault::SensorMode::kDropout: {
+      // Known-missing reading: fail safe to the steady-state envelope,
+      // which keeps T <= T_limit from *any* starting temperature — the
+      // conservative choice when the controller is blind.
+      const Watts ss = thermal_.steady_state_power_limit();
+      thermal_limit = util::min(util::positive_part(ss),
+                                thermal_.params().nameplate);
+      break;
+    }
+    case fault::SensorMode::kStuck:
+    case fault::SensorMode::kBias:
+      // The controller believes the lying sensor — that is the fault being
+      // modeled.  A stuck-low sensor over-budgets a hot server; the plant
+      // keeps evolving on the true temperature.
+      thermal_limit = thermal::power_limit_from(
+          thermal_.params(), sensed_temperature(), window);
+      break;
+  }
+  return util::min(circuit_limit_, thermal_limit);
+}
+
 double ManagedServer::utilization(Watts budget) const {
   if (asleep_ || crashed_) return 0.0;
   const Watts dynamic = consumed_power(budget) - idle_floor();
@@ -84,6 +112,7 @@ NodeId Cluster::add_server(NodeId parent, std::string name,
       tree_.add_child(parent, std::move(name), hier::NodeKind::kServer);
   arena_.add(id);
   servers_.emplace_back(id, cfg);
+  record_.add_slot();
   return id;
 }
 
@@ -108,6 +137,7 @@ void Cluster::place(Application app, NodeId server_id) {
   app_host_[app.id()] = h;
   s.apps().push_back(std::move(app));
   s.invalidate_app_demand_cache();
+  record_.mark(h.index);
 }
 
 ServerHandle Cluster::host_handle_of(AppId app) const {
@@ -144,8 +174,8 @@ void Cluster::move_app(AppId app, NodeId from, NodeId to) {
   src.erase(it);
   server(to).apps().push_back(std::move(moving));
   app_host_[app] = arena_.find(to);
-  server(from).invalidate_app_demand_cache();
-  server(to).invalidate_app_demand_cache();
+  invalidate_app_demand(from);
+  invalidate_app_demand(to);
 }
 
 Application Cluster::remove_app(AppId app) {
@@ -160,6 +190,7 @@ Application Cluster::remove_app(AppId app) {
   apps.erase(it);
   app_host_.erase(app);
   server(h).invalidate_app_demand_cache();
+  record_.mark(h.index);
   return removed;
 }
 
@@ -170,23 +201,59 @@ void Cluster::sleep_server(NodeId id) {
   }
   s.set_asleep(true);
   tree_.node(id).set_active(false);
+  note_input_moved(id);
 }
 
 void Cluster::wake_server(NodeId id) {
   server(id).set_asleep(false);
   tree_.node(id).set_active(true);
+  note_input_moved(id);
 }
 
 void Cluster::crash_server(NodeId id) {
   auto& s = server(id);
   s.set_crashed(true);
   tree_.node(id).set_active(false);
+  note_input_moved(id);
 }
 
 void Cluster::restore_server(NodeId id) {
   auto& s = server(id);
   s.set_crashed(false);
   tree_.node(id).set_active(s.asleep() ? false : true);
+  note_input_moved(id);
+}
+
+void Cluster::set_report_fault(NodeId id, bool faulty) {
+  auto& s = server(id);
+  if (s.report_fault_ == faulty) return;
+  s.set_report_fault(faulty);
+  note_input_moved(id);
+}
+
+void Cluster::set_temperature(NodeId id, util::Celsius t) {
+  server(id).thermal().set_temperature(t);
+  note_input_moved(id);
+}
+
+void Cluster::set_ambient(NodeId id, util::Celsius ambient) {
+  server(id).thermal().set_ambient(ambient);
+  note_input_moved(id);
+}
+
+void Cluster::add_temporary_demand(NodeId id, Watts w, int periods) {
+  const std::uint32_t slot = arena_.checked_slot_of(id);
+  auto& s = servers_[slot];
+  const bool held = s.has_temporary_demand();
+  s.add_temporary_demand(w, periods);
+  if (!held) temp_holders_.push_back(slot);
+  record_.mark(slot);
+}
+
+void Cluster::invalidate_app_demand(NodeId id) {
+  const std::uint32_t slot = arena_.checked_slot_of(id);
+  servers_[slot].invalidate_app_demand_cache();
+  record_.mark(slot);
 }
 
 void Cluster::set_group_circuit_limit(NodeId group, Watts limit) {
@@ -208,9 +275,9 @@ std::optional<Watts> Cluster::group_circuit_limit(NodeId group) const {
 
 void Cluster::refresh_demands(const workload::PoissonDemand& process,
                               util::Rng& rng, double intensity) {
-  for (auto& s : servers_) {
-    process.refresh_all(s.apps(), rng, intensity);
-    s.set_cached_app_demand(workload::total_demand(s.apps()));
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    process.refresh_all(servers_[i].apps(), rng, intensity);
+    deposit_app_demand(i);
   }
 }
 
@@ -226,9 +293,9 @@ void Cluster::refresh_demands(const workload::PoissonDemand& process,
 }
 
 void Cluster::refresh_demands_constant() {
-  for (auto& s : servers_) {
-    workload::ConstantDemand::refresh_all(s.apps());
-    s.set_cached_app_demand(workload::total_demand(s.apps()));
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    workload::ConstantDemand::refresh_all(servers_[i].apps());
+    deposit_app_demand(i);
   }
 }
 
@@ -243,28 +310,41 @@ void Cluster::refresh_demands_deterministic(double intensity,
 }
 
 void Cluster::observe_leaf_demands() {
-  for (auto& s : servers_) {
-    // A crashed server is dark: its leaf is inactive (the sweep feeds the
-    // subtree 0) and no reading arrives until restore.
-    if (s.crashed()) {
-      s.note_lost_observation();
-      continue;
-    }
-    // A lost report (or power-sensor dropout) leaves the leaf acting on its
-    // previous observation; the controller's stale-timeout fallback decides
-    // what to do once the silence lasts (docs/fault_model.md).
-    if (s.demand_reading_lost()) {
-      s.note_lost_observation();
-      continue;
-    }
-    // observe_leaf carries the incremental fast path (bitwise-unchanged
-    // observation into a settled EWMA is a no-op).  A stuck/biased sensor
-    // still counts as a fresh observation — a report arrived, it is just
-    // wrong — so staleness tracks silence, not accuracy.
-    const Watts seen = s.sensed_demand();
-    s.note_fresh_observation(seen);
-    tree_.observe_leaf(s.node(), seen);
+  for (std::size_t i = 0; i < servers_.size(); ++i) observe_leaf(i);
+}
+
+bool Cluster::observe_leaf(std::size_t slot) {
+  auto& s = servers_[slot];
+  // A crashed server is dark: its leaf is inactive (the sweep feeds the
+  // subtree 0) and no reading arrives until restore.  A lost report (or
+  // power-sensor dropout) leaves the leaf acting on its previous
+  // observation; the controller's stale-timeout fallback decides what to do
+  // once the silence lasts (docs/fault_model.md).
+  if (s.crashed() || s.demand_reading_lost()) {
+    s.note_lost_observation();
+    return true;
   }
+  // observe_leaf carries the incremental fast path (bitwise-unchanged
+  // observation into a settled EWMA is a no-op).  A stuck/biased sensor
+  // still counts as a fresh observation — a report arrived, it is just
+  // wrong — so staleness tracks silence, not accuracy.
+  const Watts seen = s.sensed_demand();
+  s.note_fresh_observation(seen);
+  tree_.observe_leaf(s.node(), seen);
+  return !tree_.node(s.node()).ewma_settled() || !s.app_demand_valid_;
+}
+
+bool Cluster::observation_would_act(std::size_t slot) const {
+  const auto& s = servers_[slot];
+  if (s.crashed() || s.demand_reading_lost() || s.stale_ticks() != 0 ||
+      !s.has_last_good_demand()) {
+    return true;
+  }
+  const auto bits = [](Watts w) { return std::bit_cast<std::uint64_t>(w); };
+  const Watts seen = s.sensed_demand();
+  const auto& leaf = tree_.node(s.node());
+  return bits(seen) != bits(s.last_good_demand()) || !leaf.ewma_settled() ||
+         bits(seen) != bits(leaf.raw_demand());
 }
 
 void Cluster::step_thermal(Seconds dt, util::ThreadPool* pool,
@@ -277,8 +357,40 @@ void Cluster::step_thermal(Seconds dt, util::ThreadPool* pool,
   }
 }
 
-void Cluster::age_temporary_demands() {
-  for (auto& s : servers_) s.age_temporary_demand();
+void Cluster::age_temporary_demands(bool full_walk) {
+  // Expiry moves power_demand(): record the slot when the sum changes.
+  // Returns whether the server still holds some.
+  const auto age = [this](std::size_t i) {
+    auto& s = servers_[i];
+    const Watts before = s.temporary_demand();
+    s.age_temporary_demand();
+    if (std::bit_cast<std::uint64_t>(before) !=
+        std::bit_cast<std::uint64_t>(s.temporary_demand())) {
+      record_.mark(i);
+    }
+    return s.has_temporary_demand();
+  };
+  if (full_walk) {
+    for (std::size_t i = 0; i < servers_.size(); ++i) age(i);
+    std::erase_if(temp_holders_, [this](std::uint32_t i) {
+      return !servers_[i].has_temporary_demand();
+    });
+  } else {
+    std::erase_if(temp_holders_, [&](std::uint32_t i) { return !age(i); });
+  }
+}
+
+bool Cluster::temporary_demand_holders_complete() const {
+  // The list's entries are distinct, so equal counts mean every holder is
+  // listed.
+  const auto holds = [this](std::size_t i) {
+    return servers_[i].has_temporary_demand() ? 1u : 0u;
+  };
+  std::size_t listed = 0;
+  for (const std::uint32_t i : temp_holders_) listed += holds(i);
+  std::size_t holding = 0;
+  for (std::size_t i = 0; i < servers_.size(); ++i) holding += holds(i);
+  return listed == holding;
 }
 
 Watts Cluster::total_consumed() const {

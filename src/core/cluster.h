@@ -15,7 +15,11 @@
 // idle_floor + total application demand + temporary migration costs.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <concepts>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -66,7 +70,6 @@ class ManagedServer {
   [[nodiscard]] std::vector<Application>& apps() { return apps_; }
 
   [[nodiscard]] bool asleep() const { return asleep_; }
-  void set_asleep(bool a) { asleep_ = a; }
 
   /// Idle draw while active (reported as part of demand).
   [[nodiscard]] Watts idle_floor() const {
@@ -76,14 +79,9 @@ class ManagedServer {
   /// Temporary extra power demand from in-flight migrations (Sec. IV-E:
   /// "This cost is added as a temporary power demand to the nodes involved").
   [[nodiscard]] Watts temporary_demand() const { return temp_demand_; }
-  /// Add `w` of temporary demand that expires after `periods` demand periods.
-  void add_temporary_demand(Watts w, int periods);
-  /// Advance one demand period: expire aged temporary demand.  A server
-  /// with nothing in flight returns at once: its temporary demand is then
-  /// exactly 0.
-  void age_temporary_demand() {
-    if (!temp_.empty()) age_temporary_list();
-  }
+  /// Whether some temporary demand is still waiting to expire (it may sum to
+  /// 0 W).  Added and aged through Cluster, which lists the holders.
+  [[nodiscard]] bool has_temporary_demand() const { return !temp_.empty(); }
 
   /// What this server reports up the tree: 0 when asleep, otherwise
   /// idle floor + live application demand + temporary migration demand.
@@ -94,30 +92,10 @@ class ManagedServer {
     return idle_floor() + apps + temp_demand_;
   }
 
-  /// Application-demand sum cache: the demand refresh loops deposit the
-  /// freshly summed live demand here so power_demand() — called several
-  /// times per tick by observation, consumption and packing — is O(1)
-  /// instead of O(apps).  Every mutation of the hosted set or of an
-  /// individual app's demand/dropped state outside the refresh loops must
-  /// invalidate (Cluster's placement ops and the controller's shed/revive
-  /// paths do).  An invalid cache only costs the O(apps) fallback.
-  void set_cached_app_demand(Watts w) {
-    cached_app_demand_ = w;
-    app_demand_valid_ = true;
-  }
-  void invalidate_app_demand_cache() { app_demand_valid_ = false; }
-
-  /// Fault injection: while set, the server's demand report is lost — the
-  /// PMU leaf keeps acting on its previous observation (stale CP).  Models
-  /// the measurement/communication failures the convergence analysis
-  /// (Sec. V-A1) assumes away.
-  void set_report_fault(bool faulty) { report_fault_ = faulty; }
-
   /// Crashed: the server is down hard (no demand, no consumption, apps
   /// denied) until restarted.  Unlike sleep, a crash keeps the hosted
   /// applications in place — they resume when the server comes back.
   [[nodiscard]] bool crashed() const { return crashed_; }
-  void set_crashed(bool c) { crashed_ = c; }
 
   /// Sensor overrides (fault injection; see docs/fault_model.md).  The
   /// controller consumes *sensed* values; the plant itself keeps evolving on
@@ -147,6 +125,10 @@ class ManagedServer {
 
   /// The temperature the controller sees (temp-sensor override applied).
   [[nodiscard]] util::Celsius sensed_temperature() const;
+  /// The server's hard limit as the controller senses it: min(circuit
+  /// rating, thermal power limit over `window`), the thermal part derived
+  /// through the temp-sensor override.
+  [[nodiscard]] Watts sensed_power_limit(Seconds window) const;
 
   /// Stale-report bookkeeping for the controller's degraded mode: ticks
   /// since the last usable demand observation, and what that observation
@@ -171,7 +153,32 @@ class ManagedServer {
   [[nodiscard]] double utilization(Watts budget) const;
 
  private:
-  void age_temporary_list();
+  // The mutators below move what the controller observes, so only Cluster
+  // calls them: it records the server's slot in its InputRecord.
+  friend class Cluster;
+  void set_asleep(bool a) { asleep_ = a; }
+  void set_crashed(bool c) { crashed_ = c; }
+  /// Fault injection: while set, the server's demand report is lost — the
+  /// PMU leaf keeps acting on its previous observation (stale CP).  Models
+  /// the measurement/communication failures the convergence analysis
+  /// (Sec. V-A1) assumes away.
+  void set_report_fault(bool faulty) { report_fault_ = faulty; }
+  /// Application-demand sum cache: the demand refresh loops deposit the
+  /// freshly summed live demand here so power_demand() — called several
+  /// times per tick by observation, consumption and packing — is O(1)
+  /// instead of O(apps).  Every mutation of the hosted set or of an
+  /// individual app's demand/dropped state outside the refresh loops must
+  /// invalidate it (Cluster's placement ops and invalidate_app_demand do).
+  /// An invalid cache only costs the O(apps) fallback.
+  void set_cached_app_demand(Watts w) {
+    cached_app_demand_ = w;
+    app_demand_valid_ = true;
+  }
+  void invalidate_app_demand_cache() { app_demand_valid_ = false; }
+  /// Add `w` of temporary demand that expires after `periods` demand periods.
+  void add_temporary_demand(Watts w, int periods);
+  /// Advance one demand period: expire aged temporary demand.
+  void age_temporary_demand();
 
   // What power_demand() and consumed_power() read fills the first 32 bytes
   // (the power model's static power first); the thermal state follows.  The
@@ -204,6 +211,51 @@ concept RefreshHook = std::invocable<const F&, std::size_t>;
 template <typename F>
 concept ThermalHook =
     std::invocable<const F&, std::size_t, const hier::Node&, Watts>;
+
+/// Which servers' controller inputs moved since each controller pass last
+/// looked (DESIGN.md §10, "settled tick").  One byte per arena slot and one
+/// bit per consuming pass: a writer sets every bit, and each pass drains
+/// only its own, so passes on different cadences keep their own "since"
+/// point.  Distinct slots are distinct bytes, so the sharded batches record
+/// their own slots without synchronisation.
+class InputRecord {
+ public:
+  static constexpr std::uint8_t kAll = 0xff;
+
+  void add_slot() { bits_.push_back(kAll); }
+  [[nodiscard]] std::size_t size() const { return bits_.size(); }
+  void mark(std::size_t slot, std::uint8_t passes = kAll) {
+    bits_[slot] |= passes;
+  }
+  void mark_all(std::uint8_t passes) {
+    for (auto& b : bits_) b |= passes;
+  }
+  [[nodiscard]] bool marked(std::size_t slot, std::uint8_t pass) const {
+    return (bits_[slot] & pass) != 0;
+  }
+  /// Clear `pass` on every slot that holds it and call visit(slot) for each,
+  /// in ascending slot order.  A visit may re-mark its own slot for the next
+  /// drain.  Unmarked slots cost one test per eight.
+  template <typename Visit>
+  void drain(std::uint8_t pass, const Visit& visit) {
+    const std::uint64_t lanes = 0x0101010101010101ull * pass;
+    const std::size_t n = bits_.size();
+    for (std::size_t base = 0; base < n; base += 8) {
+      const std::size_t len = std::min<std::size_t>(8, n - base);
+      std::uint64_t word = 0;
+      std::memcpy(&word, bits_.data() + base, len);
+      if ((word & lanes) == 0) continue;
+      for (std::size_t i = base; i < base + len; ++i) {
+        if ((bits_[i] & pass) == 0) continue;
+        bits_[i] &= static_cast<std::uint8_t>(~pass);
+        visit(i);
+      }
+    }
+  }
+
+ private:
+  std::vector<std::uint8_t> bits_;
+};
 
 class Cluster {
  public:
@@ -260,6 +312,34 @@ class Cluster {
 
   /// Place a new application on a server.
   void place(Application app, NodeId server);
+
+  /// The controller-input record (see InputRecord).  Every Cluster method
+  /// that moves what the controller observes of a server records its slot:
+  /// placement, sleep/wake, crash/restore, the setters below, the demand
+  /// refresh (app-demand sum or cache validity changed bitwise) and the
+  /// thermal step (temperature changed bitwise).  A caller that mutates a
+  /// server through server()/thermal() must record it, as
+  /// Controller::note_external_change does.
+  [[nodiscard]] InputRecord& input_record() { return record_; }
+  [[nodiscard]] const InputRecord& input_record() const { return record_; }
+  /// Record that server `id`'s inputs moved, for the given passes (no-op
+  /// for a non-server).
+  void note_input_moved(NodeId id,
+                        std::uint8_t passes = InputRecord::kAll) {
+    const std::uint32_t slot = arena_.slot_of(id);
+    if (slot != ServerArena::kNoSlot) record_.mark(slot, passes);
+  }
+
+  /// Recording setters for the server at PMU leaf `id`.
+  void set_report_fault(NodeId id, bool faulty);
+  void set_temperature(NodeId id, util::Celsius t);
+  void set_ambient(NodeId id, util::Celsius ambient);
+  /// Add `w` of temporary demand that expires after `periods` demand
+  /// periods (Sec. IV-E migration cost).
+  void add_temporary_demand(NodeId id, Watts w, int periods);
+  /// Drop the server's app-demand cache after its apps' demand or dropped
+  /// state changed in place.
+  void invalidate_app_demand(NodeId id);
 
   /// Locate an application; returns the hosting server's handle (invalid
   /// handle when unknown).
@@ -360,6 +440,13 @@ class Cluster {
 
   /// Push each server's power_demand() into its PMU leaf (observe_demand).
   void observe_leaf_demands();
+  /// The same for the server at `slot` alone.  Returns whether the server
+  /// is not yet quiet: observing it again with no input moved could still
+  /// change something (its leaf's EWMA has not settled, its reading is lost
+  /// or stale, it is crashed, or its app-demand cache is invalid).
+  bool observe_leaf(std::size_t slot);
+  /// Whether observe_leaf(slot) would change any state now (shadow checks).
+  [[nodiscard]] bool observation_would_act(std::size_t slot) const;
 
   /// Advance thermal state of every server by dt under its consumed power.
   /// Sharded over `pool` (serial when null): per-server state only, so any
@@ -375,7 +462,12 @@ class Cluster {
         auto& s = servers_[i];
         const hier::Node& leaf = tree_.node(s.node());
         const Watts consumed = s.consumed_power(leaf.budget());
+        const double before = s.thermal().temperature().value();
         s.thermal().step(consumed, dt);
+        if (std::bit_cast<std::uint64_t>(before) !=
+            std::bit_cast<std::uint64_t>(s.thermal().temperature().value())) {
+          record_.mark(i);
+        }
         per_server(i, leaf, consumed);
       }
     };
@@ -387,7 +479,12 @@ class Cluster {
                     const PerServerHook* per_server = nullptr);
 
   /// Expire aged temporary migration demands (call once per demand period).
-  void age_temporary_demands();
+  /// Visits the servers that hold some; `full_walk` visits every server.
+  void age_temporary_demands(bool full_walk = false);
+  /// Whether every server holding temporary demand is on the list aging
+  /// walks, i.e. whether that walk ages what the full walk would (shadow
+  /// checks).
+  [[nodiscard]] bool temporary_demand_holders_complete() const;
 
   /// Total consumed electrical power of all servers right now, summed in
   /// slot order.
@@ -422,7 +519,7 @@ class Cluster {
       for (std::size_t i = begin; i < end; ++i) {
         auto& s = servers_[i];
         refresh_apps(i, s.apps());
-        s.set_cached_app_demand(workload::total_demand(s.apps()));
+        deposit_app_demand(i);
         if (observe && !s.asleep() && !s.crashed()) {
           obs::Event e;
           e.type = obs::EventType::kDemandReport;
@@ -437,9 +534,26 @@ class Cluster {
     if (observe) bus_->end_shards();
   }
 
+  /// Cache server i's freshly summed app demand, recording the slot when
+  /// the sum or the cache's validity changed bitwise.
+  void deposit_app_demand(std::size_t i) {
+    auto& s = servers_[i];
+    const double before = s.cached_app_demand_.value();
+    const bool was_valid = s.app_demand_valid_;
+    s.set_cached_app_demand(workload::total_demand(s.apps()));
+    if (!was_valid || std::bit_cast<std::uint64_t>(before) !=
+                          std::bit_cast<std::uint64_t>(
+                              s.cached_app_demand_.value())) {
+      record_.mark(i);
+    }
+  }
+
   hier::Tree tree_;
   ServerArena arena_;                   ///< slot/handle index; see arena.h
   std::vector<ManagedServer> servers_;  ///< payload, parallel to arena slots
+  InputRecord record_;                  ///< parallel to arena slots
+  /// Slots of the servers holding temporary demand, in no fixed order.
+  std::vector<std::uint32_t> temp_holders_;
   std::unordered_map<AppId, ServerHandle> app_host_;
   std::unordered_map<NodeId, Watts> group_circuit_limits_;
   obs::EventBus* bus_ = nullptr;

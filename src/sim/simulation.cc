@@ -476,7 +476,7 @@ void Simulation::Run::tick(long tick) {
     if (ev.tick != tick) continue;
     for (std::size_t i = ev.first_server; i <= ev.last_server && i < n_servers;
          ++i) {
-      cluster.server(servers[i]).thermal().set_ambient(ev.ambient);
+      cluster.set_ambient(servers[i], ev.ambient);
       // The ambient shift re-zones the server (sustainable envelope moved)
       // without any demand report firing.
       controller.note_external_change(servers[i]);
@@ -651,8 +651,8 @@ void Simulation::Run::refresh_demand(long tick, double intensity) {
   const auto per_server = [&](std::size_t i) {
     if (loss) {
       auto rng = streams(i, util::stream_phase::kFault);
-      cluster.server_at(i).set_report_fault(
-          rng.chance(config.report_loss_probability));
+      cluster.set_report_fault(servers[i],
+                               rng.chance(config.report_loss_probability));
     }
     const auto& srv = cluster.server_at(i);
     traffic_units[i] =

@@ -47,8 +47,10 @@ struct ThermalParams {
 /// single step over [0, t] equals any subdivision of it (tested property).
 /// The derived limits (power_limit, steady_state_power_limit) are pure
 /// functions of the parameters and the current temperature and cost a few
-/// flops (the only transcendental is memoized in decay_for), so callers
-/// recompute them on every use instead of caching them against a version.
+/// flops (the only transcendental is memoized in decay_for).  Nothing caches
+/// them against a version: the controller re-derives a server's limit only
+/// when Cluster's InputRecord says its temperature, ambient or sensor moved
+/// (DESIGN.md §10, "settled tick").
 class ThermalModel {
  public:
   explicit ThermalModel(ThermalParams params);

@@ -85,27 +85,28 @@ TEST(ManagedServer, PowerDemandIncludesIdleAppsAndTemp) {
   f.cluster.place(f.app(1, 50.0), f.sa);
   auto& srv = f.cluster.server(f.sa);
   EXPECT_DOUBLE_EQ(srv.power_demand().value(), 30.0 + 50.0);
-  srv.add_temporary_demand(5_W, 2);
+  f.cluster.add_temporary_demand(f.sa, 5_W, 2);
   EXPECT_DOUBLE_EQ(srv.power_demand().value(), 85.0);
 }
 
 TEST(ManagedServer, TemporaryDemandExpires) {
   Fixture f;
   auto& srv = f.cluster.server(f.sa);
-  srv.add_temporary_demand(5_W, 2);
-  srv.add_temporary_demand(3_W, 1);
+  f.cluster.add_temporary_demand(f.sa, 5_W, 2);
+  f.cluster.add_temporary_demand(f.sa, 3_W, 1);
   EXPECT_DOUBLE_EQ(srv.temporary_demand().value(), 8.0);
-  srv.age_temporary_demand();
+  f.cluster.age_temporary_demands();
   EXPECT_DOUBLE_EQ(srv.temporary_demand().value(), 5.0);
-  srv.age_temporary_demand();
+  f.cluster.age_temporary_demands();
   EXPECT_DOUBLE_EQ(srv.temporary_demand().value(), 0.0);
 }
 
 TEST(ManagedServer, TemporaryDemandValidates) {
   Fixture f;
-  auto& srv = f.cluster.server(f.sa);
-  EXPECT_THROW(srv.add_temporary_demand(Watts{-1.0}, 1), std::invalid_argument);
-  EXPECT_THROW(srv.add_temporary_demand(1_W, 0), std::invalid_argument);
+  EXPECT_THROW(f.cluster.add_temporary_demand(f.sa, Watts{-1.0}, 1),
+               std::invalid_argument);
+  EXPECT_THROW(f.cluster.add_temporary_demand(f.sa, 1_W, 0),
+               std::invalid_argument);
 }
 
 TEST(ManagedServer, ConsumptionThrottledByBudget) {

@@ -209,7 +209,7 @@ TEST(SupplyAdaptation, ThermalClampReducesHotServerBudget) {
   EXPECT_GT(f.budget(f.s00), 100.0);
   // The server heats to its ceiling between supply periods; the next demand
   // period clamps the budget locally without waiting for ΔS.
-  f.cluster.server(f.s00).thermal().set_temperature(70_degC);
+  f.cluster.set_temperature(f.s00, 70_degC);
   ctl.tick(Watts{2000.0});  // tick 2: not a supply period
   // Holdable power at the limit ~ steady-state level (c2/c1 * 45 = 28 W).
   EXPECT_LE(f.budget(f.s00), 30.0);

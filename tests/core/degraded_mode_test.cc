@@ -70,7 +70,7 @@ TEST(StaleReports, TimeoutSynthesizesDecayedDemand) {
   const Watts idle = srv.idle_floor();
   ASSERT_GT(last_good.value(), idle.value());
 
-  srv.set_report_fault(true);
+  f.cluster.set_report_fault(f.s00, true);
   const auto& leaf = f.cluster.tree().node(f.s00);
 
   ctl.tick(Watts{2000.0});  // stale = 1 < timeout: leaf keeps old raw demand
@@ -91,7 +91,7 @@ TEST(StaleReports, TimeoutSynthesizesDecayedDemand) {
   // The timeout event fires once per outage, not per tick.
   EXPECT_EQ(f.sink->count(obs::EventType::kStaleTimeout), 1u);
 
-  srv.set_report_fault(false);
+  f.cluster.set_report_fault(f.s00, false);
   ctl.tick(Watts{2000.0});  // recovery: fresh observation resets staleness
   EXPECT_EQ(srv.stale_ticks(), 0);
   EXPECT_DOUBLE_EQ(leaf.raw_demand().value(), srv.power_demand().value());
@@ -113,7 +113,7 @@ TEST(StaleReports, FallbackBudgetClampsDarkServer) {
   const Watts steady = srv.thermal().steady_state_power_limit();
   ASSERT_GT(leaf.budget().value(), steady.value());
 
-  f.cluster.server(f.s00).set_report_fault(true);
+  f.cluster.set_report_fault(f.s00, true);
   ctl.tick(Watts{2000.0});  // stale hits the timeout: clamp fail-safe
   EXPECT_GE(f.sink->count(obs::EventType::kFallbackBudget), 1u);
   EXPECT_LE(leaf.budget().value(), steady.value() + 1e-9);

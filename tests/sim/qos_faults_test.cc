@@ -113,11 +113,11 @@ TEST(Faults, ReportLossKeepsLeafStale) {
   EXPECT_DOUBLE_EQ(cluster.tree().node(s).smoothed_demand().value(), 60.0);
   // The demand changes but the report is lost: the leaf stays at 60.
   cluster.find_app(1)->set_demand(100_W);
-  cluster.server(s).set_report_fault(true);
+  cluster.set_report_fault(s, true);
   cluster.observe_leaf_demands();
   EXPECT_DOUBLE_EQ(cluster.tree().node(s).smoothed_demand().value(), 60.0);
   // Report restored: the leaf catches up.
-  cluster.server(s).set_report_fault(false);
+  cluster.set_report_fault(s, false);
   cluster.observe_leaf_demands();
   EXPECT_DOUBLE_EQ(cluster.tree().node(s).smoothed_demand().value(), 110.0);
 }
