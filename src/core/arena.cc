@@ -8,7 +8,6 @@ namespace willow::core {
 std::uint32_t ServerArena::add(hier::NodeId node) {
   const auto slot = static_cast<std::uint32_t>(node_of_.size());
   node_of_.push_back(node);
-  generation_.push_back(1);
   if (node >= slot_of_node_.size()) {
     slot_of_node_.resize(static_cast<std::size_t>(node) + 1, kNoSlot);
   }
@@ -26,16 +25,6 @@ std::uint32_t ServerArena::checked_slot_of(hier::NodeId node) const {
     throw std::out_of_range("ServerArena: node is not a server");
   }
   return slot;
-}
-
-std::uint32_t ServerArena::checked_slot(ServerHandle h) const {
-  if (h.index >= node_of_.size()) {
-    throw std::out_of_range("ServerArena: invalid handle");
-  }
-  if (h.generation != generation_[h.index]) {
-    throw std::out_of_range("ServerArena: stale handle generation");
-  }
-  return h.index;
 }
 
 void ServerArena::build_subtree_index(const hier::Tree& tree) {

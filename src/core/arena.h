@@ -1,4 +1,4 @@
-// ServerArena: dense, generation-checked server indexing for the data plane.
+// ServerArena: dense server indexing for the data plane.
 //
 // Every server occupies one *slot* (a dense index in creation order).  The
 // arena is the single authority for the slot <-> PMU-leaf mapping and
@@ -6,8 +6,6 @@
 //
 //   - `slot_of(NodeId)` is a flat vector read (was an unordered_map probe),
 //   - `node_of(slot)` is the inverse array,
-//   - `ServerHandle` is a slot plus a generation stamp, so stale references
-//     fail loudly instead of silently addressing a reused slot,
 //   - `subtree(NodeId)` enumerates the server descendants of any PMU node as
 //     a contiguous span of slots whenever the fleet was built depth-first
 //     (build_datacenter always is), falling back to a materialized slot list
@@ -26,24 +24,6 @@
 #include "hier/tree.h"
 
 namespace willow::core {
-
-/// Dense reference to a server slot.  `index` addresses the arena's arrays
-/// (and any parallel payload array such as Cluster's ManagedServer storage);
-/// `generation` must match the slot's current generation or the handle is
-/// stale (the slot was invalidated/reused since the handle was taken).
-struct ServerHandle {
-  static constexpr std::uint32_t kInvalidIndex = 0xffffffffu;
-
-  std::uint32_t index = kInvalidIndex;
-  std::uint32_t generation = 0;
-
-  [[nodiscard]] bool valid() const { return index != kInvalidIndex; }
-
-  friend bool operator==(ServerHandle a, ServerHandle b) {
-    return a.index == b.index && a.generation == b.generation;
-  }
-  friend bool operator!=(ServerHandle a, ServerHandle b) { return !(a == b); }
-};
 
 /// The server descendants of one PMU node, as slots in creation order.
 /// Either a dense range [first, first+count) or an indirect list (the rare
@@ -108,7 +88,7 @@ class SubtreeSpan {
 
 class ServerArena {
  public:
-  static constexpr std::uint32_t kNoSlot = ServerHandle::kInvalidIndex;
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   /// Register the server living at PMU leaf `node`; returns its slot.
   /// Slots are dense and assigned in call order.
@@ -131,25 +111,6 @@ class ServerArena {
   }
   /// As slot_of, but throws std::out_of_range for non-servers.
   [[nodiscard]] std::uint32_t checked_slot_of(hier::NodeId node) const;
-
-  /// Current handle for a slot.
-  [[nodiscard]] ServerHandle handle_at(std::uint32_t slot) const {
-    return {slot, generation_[slot]};
-  }
-  /// Handle for a PMU leaf; invalid handle when `node` is not a server.
-  [[nodiscard]] ServerHandle find(hier::NodeId node) const {
-    const std::uint32_t slot = slot_of(node);
-    return slot == kNoSlot ? ServerHandle{} : handle_at(slot);
-  }
-
-  /// Resolve a handle to its slot, throwing std::out_of_range when the
-  /// handle is invalid or its generation is stale.
-  [[nodiscard]] std::uint32_t checked_slot(ServerHandle h) const;
-
-  /// Invalidate every outstanding handle for `slot` (bumps its generation).
-  /// The slot itself stays live; this is the hook a future decommission path
-  /// uses so recycled slots cannot be addressed through old handles.
-  void invalidate_handles(std::uint32_t slot) { ++generation_[slot]; }
 
   /// (Re)build the subtree span index against `tree`.  Must be called after
   /// the fleet is complete and before subtree(); call again if the tree
@@ -176,7 +137,6 @@ class ServerArena {
 
   std::vector<hier::NodeId> node_of_;        ///< slot -> leaf
   std::vector<std::uint32_t> slot_of_node_;  ///< leaf -> slot (kNoSlot gaps)
-  std::vector<std::uint32_t> generation_;    ///< slot -> current generation
 
   std::vector<SpanRec> spans_;           ///< node -> span record
   std::vector<std::uint32_t> overflow_;  ///< materialized slot lists

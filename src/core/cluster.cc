@@ -132,28 +132,24 @@ void Cluster::place(Application app, NodeId server_id) {
   if (app_host_.contains(app.id())) {
     throw std::logic_error("Cluster::place: application already placed");
   }
-  const ServerHandle h = arena_.find(server_id);
-  auto& s = server(h);  // throws on a non-server target
-  app_host_[app.id()] = h;
+  // Throws std::out_of_range on a non-server target.
+  const std::uint32_t slot = arena_.checked_slot_of(server_id);
+  auto& s = servers_[slot];
+  app_host_[app.id()] = slot;
   s.apps().push_back(std::move(app));
   s.invalidate_app_demand_cache();
-  record_.mark(h.index);
-}
-
-ServerHandle Cluster::host_handle_of(AppId app) const {
-  auto it = app_host_.find(app);
-  return it == app_host_.end() ? ServerHandle{} : it->second;
+  record_.mark(slot);
 }
 
 NodeId Cluster::host_of(AppId app) const {
-  const ServerHandle h = host_handle_of(app);
-  return h.valid() ? node_of(h) : hier::kNoNode;
+  auto it = app_host_.find(app);
+  return it == app_host_.end() ? hier::kNoNode : arena_.node_of(it->second);
 }
 
 Application* Cluster::find_app(AppId app) {
-  const ServerHandle h = host_handle_of(app);
-  if (!h.valid()) return nullptr;
-  for (auto& a : server(h).apps()) {
+  auto it = app_host_.find(app);
+  if (it == app_host_.end()) return nullptr;
+  for (auto& a : servers_[it->second].apps()) {
     if (a.id() == app) return &a;
   }
   return nullptr;
@@ -173,24 +169,25 @@ void Cluster::move_app(AppId app, NodeId from, NodeId to) {
   Application moving = std::move(*it);
   src.erase(it);
   server(to).apps().push_back(std::move(moving));
-  app_host_[app] = arena_.find(to);
+  app_host_[app] = arena_.slot_of(to);
   invalidate_app_demand(from);
   invalidate_app_demand(to);
 }
 
 Application Cluster::remove_app(AppId app) {
-  const ServerHandle h = host_handle_of(app);
-  if (!h.valid()) {
+  const auto host = app_host_.find(app);
+  if (host == app_host_.end()) {
     throw std::logic_error("Cluster::remove_app: unknown application");
   }
-  auto& apps = server(h).apps();
+  const std::uint32_t slot = host->second;
+  app_host_.erase(host);
+  auto& apps = servers_[slot].apps();
   auto it = std::find_if(apps.begin(), apps.end(),
                          [&](const Application& a) { return a.id() == app; });
   Application removed = std::move(*it);
   apps.erase(it);
-  app_host_.erase(app);
-  server(h).invalidate_app_demand_cache();
-  record_.mark(h.index);
+  servers_[slot].invalidate_app_demand_cache();
+  record_.mark(slot);
   return removed;
 }
 

@@ -271,32 +271,17 @@ class Cluster {
                    hier::NodeKind kind = hier::NodeKind::kRack);
   NodeId add_server(NodeId parent, std::string name, const ServerConfig& cfg);
 
-  /// The dense server index: handle resolution, NodeId <-> slot mapping and
-  /// subtree spans.  The arena's slot order is server-creation order and is
-  /// the index space of server_at().
+  /// The dense server index: NodeId <-> slot mapping and subtree spans.
+  /// The arena's slot order is server-creation order and is the index
+  /// space of server_at().
   [[nodiscard]] const ServerArena& arena() const { return arena_; }
   [[nodiscard]] ServerArena& arena() { return arena_; }
-
-  /// Handle for the server at PMU leaf `id` (invalid handle if not a server).
-  [[nodiscard]] ServerHandle handle(NodeId id) const { return arena_.find(id); }
-  /// Generation-checked handle access (throws std::out_of_range on a stale
-  /// or invalid handle).
-  [[nodiscard]] ManagedServer& server(ServerHandle h) {
-    return servers_[arena_.checked_slot(h)];
-  }
-  [[nodiscard]] const ManagedServer& server(ServerHandle h) const {
-    return servers_[arena_.checked_slot(h)];
-  }
-  [[nodiscard]] NodeId node_of(ServerHandle h) const {
-    return arena_.node_of(arena_.checked_slot(h));
-  }
 
   [[nodiscard]] const std::vector<NodeId>& server_ids() const {
     return arena_.nodes();
   }
-  /// DEPRECATED NodeId entry points (thin shims over the arena, kept for one
-  /// release — see DESIGN.md §8): prefer handle()/server(ServerHandle) or
-  /// slot-based server_at() on hot paths.
+  /// The server at PMU leaf `id` (std::out_of_range if `id` is not a
+  /// server); hot paths use slot-based server_at() instead.
   [[nodiscard]] ManagedServer& server(NodeId id);
   [[nodiscard]] const ManagedServer& server(NodeId id) const;
   [[nodiscard]] bool is_server(NodeId id) const;
@@ -341,10 +326,7 @@ class Cluster {
   /// state changed in place.
   void invalidate_app_demand(NodeId id);
 
-  /// Locate an application; returns the hosting server's handle (invalid
-  /// handle when unknown).
-  [[nodiscard]] ServerHandle host_handle_of(AppId app) const;
-  /// DEPRECATED shim: hosting server's PMU leaf, or kNoNode.
+  /// Locate an application: its hosting server's PMU leaf, or kNoNode.
   [[nodiscard]] NodeId host_of(AppId app) const;
   [[nodiscard]] Application* find_app(AppId app);
   [[nodiscard]] const Application* find_app(AppId app) const;
@@ -549,12 +531,12 @@ class Cluster {
   }
 
   hier::Tree tree_;
-  ServerArena arena_;                   ///< slot/handle index; see arena.h
+  ServerArena arena_;                   ///< slot index; see arena.h
   std::vector<ManagedServer> servers_;  ///< payload, parallel to arena slots
   InputRecord record_;                  ///< parallel to arena slots
   /// Slots of the servers holding temporary demand, in no fixed order.
   std::vector<std::uint32_t> temp_holders_;
-  std::unordered_map<AppId, ServerHandle> app_host_;
+  std::unordered_map<AppId, std::uint32_t> app_host_;  ///< app -> slot
   std::unordered_map<NodeId, Watts> group_circuit_limits_;
   obs::EventBus* bus_ = nullptr;
 };

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/allocation.h"
-#include "util/thread_pool.h"
 
 namespace willow::core {
 
@@ -147,7 +146,6 @@ void Controller::build_topology() {
 
   // The tree starts all-dirty so the first pass of every phase is a full
   // recompute that seeds the caches.
-  subtree_epoch_.assign(n, 0);
   division_dirty_.assign(n, 1);
   limit_dirty_.assign(n, 1);
   plan_marked_.assign(n, 1);
@@ -171,18 +169,10 @@ void Controller::emit(obs::EventType type, NodeId node, NodeId node2,
   bus_->emit(std::move(e));
 }
 
-void Controller::touch(NodeId node) {
-  ++change_epoch_;
-  const auto& tree = cluster_.tree();
-  for (NodeId cur = node; cur != hier::kNoNode; cur = tree.node(cur).parent()) {
-    subtree_epoch_[cur] = change_epoch_;
-  }
-}
-
 void Controller::note_external_change(NodeId node) {
   cluster_.note_input_moved(node);
   if (!config_.incremental) return;
-  touch(node);
+  touch();
   cluster_.tree().mark_report_dirty(node);
 }
 
@@ -200,7 +190,7 @@ void Controller::note_active_flip(NodeId node) {
   if (p != hier::kNoNode) limit_dirty_[p] = division_dirty_[p] = 1;
   mark_plan(node);
   tree.mark_report_dirty(node);
-  touch(node);
+  touch();
 }
 
 void Controller::mark_plan(NodeId server) {
@@ -243,7 +233,6 @@ void Controller::resolve_instruments() {
       "control.phase.thermal",         "control.phase.demand.plan",
       "control.phase.demand.place",    "control.phase.demand.wake",
       "control.phase.demand.shed",     "control.phase.consolidate.judge",
-      "control.phase.consolidate.precompute",
       "control.phase.consolidate.drain", "control.phase.revive"};
   for (int p = 0; p < kPhaseCount; ++p) {
     phase_timers_[p] =
@@ -383,7 +372,7 @@ void Controller::deliver_directive(NodeId id, Watts budget, bool duplicate) {
   n.set_budget(budget);
   tree.record_budget_directive(id);
   division_dirty_[id] = 1;  // its own children now share a different pie
-  touch(id);
+  touch();
   if (duplicate) {
     // Same message applied twice: state is unchanged, but the message
     // counters and the trace must carry both copies.
@@ -461,7 +450,7 @@ void Controller::retry_pending_directives() {
 
 void Controller::tick(Watts available_supply) {
   ++tick_;
-  if (subtree_epoch_.size() != cluster_.tree().size()) {
+  if (division_dirty_.size() != cluster_.tree().size()) {
     throw std::logic_error(
         "Controller: the tree changed size after the controller was built");
   }
@@ -490,10 +479,10 @@ void Controller::observe_and_report() {
   auto& tree = cluster_.tree();
   tree.report_demands();
   // Every report that fired is a change the decision phases must see: the
-  // reporter's subtree moved (consolidation epochs), and its parent's child
-  // demand vector moved (budget division, demand planning).
+  // tree moved (consolidation failure cache), and the reporter's parent's
+  // child demand vector moved (budget division, demand planning).
   for (NodeId r : tree.reported_last_sweep()) {
-    touch(r);
+    touch();
     const NodeId p = tree.node(r).parent();
     if (p != hier::kNoNode) division_dirty_[p] = plan_marked_[p] = 1;
   }
@@ -503,13 +492,12 @@ void Controller::observe_and_report() {
 void Controller::reset_transients() {
   // Last tick's booking in absorbed_w_/migrated_from_w_ is about to reset,
   // which moves target_capacity() for every endpoint of last tick's
-  // migrations.  Stamp those endpoints so the epoch-keyed root failure cache
-  // sees the reset as a change — this is what lets the cache and the fleet
-  // fast path stay valid while migrations are in flight instead of being
-  // quiescence-gated.  Only those endpoints were written, so only they reset.
+  // migrations.  Count that as a change so the root failure cache sees the
+  // reset — this is what lets the cache and the fleet fast path stay valid
+  // while migrations are in flight instead of being quiescence-gated.  Only
+  // those endpoints were written, so only they reset.
   for (const auto& rec : migrations_this_tick_) {
-    touch(rec.from);
-    touch(rec.to);
+    touch();
     absorbed_w_[rec.to] = 0.0;
     migrated_from_w_[rec.from] = 0.0;
   }
@@ -647,15 +635,12 @@ void Controller::shadow_check_division(NodeId id) {
 void Controller::supply_adaptation(Watts available_supply) {
   auto& tree = cluster_.tree();
   update_hard_limits();
-  // Ascending NodeId, the order a scan of the whole flag vector would visit
-  // them, so the touch() sequence (and every epoch) is unchanged.
-  std::sort(budget_reduced_ids_.begin(), budget_reduced_ids_.end());
   for (NodeId id : budget_reduced_ids_) {
     budget_reduced_[id] = false;
     // Clearing the flag changes this node's eligibility under the
-    // unidirectional rule even though no budget moved; stamp it so cached
+    // unidirectional rule even though no budget moved; count it so cached
     // consolidation verdicts that saw the old flag die.
-    touch(id);
+    touch();
   }
   budget_reduced_ids_.clear();
 
@@ -755,7 +740,7 @@ bool Controller::clamp_budget(NodeId server, Watts cap, obs::EventType type,
   // diverge on where the budget sits between passes.
   const NodeId p = leaf.parent();
   if (p != hier::kNoNode) division_dirty_[p] = plan_marked_[p] = 1;
-  touch(server);
+  touch();
   return true;
 }
 
@@ -862,8 +847,7 @@ void Controller::complete_due_migrations() {
     outbound_in_flight_w_[m.source] =
         std::max(0.0, outbound_in_flight_w_[m.source] - m.demand.value());
     apps_in_flight_.erase(m.app);
-    touch(m.target);
-    touch(m.source);
+    touch();
     cluster_.note_input_moved(m.target);
     cluster_.note_input_moved(m.source);
     mark_plan(m.source);
@@ -909,8 +893,7 @@ void Controller::apply_migration(const PlanItem& item, NodeId target) {
   }
   absorbed_w_[target] += item.size.value();
   targets_this_tick_.insert(target);
-  touch(item.source);
-  touch(target);
+  touch();
 
   const auto& tree = cluster_.tree();
   MigrationRecord rec;
@@ -1259,7 +1242,7 @@ void Controller::shed_leftovers(std::vector<PlanItem>& pending) {
       // Dropping/degrading changed the server's live demand out from under
       // the cached per-server application sum.
       cluster_.invalidate_app_demand(source);
-      touch(source);
+      touch();
     }
   }
 }
@@ -1270,23 +1253,15 @@ void Controller::shed_leftovers(std::vector<PlanItem>& pending) {
 // in one deterministic sweep: each candidate's apps must all find a berth,
 // within its parent group first and fleet-wide otherwise, or the server stays
 // up.  Fleet-scope verdicts come from a point-updated capacity index
-// (fast_root_pack); local-scope dry runs may be precomputed on the worker
-// pool (precompute_local_plans); and a candidate whose fleet-scope failure
-// still stands is skipped outright (root_fail_cached).
+// (fast_root_pack), and a candidate whose fleet-scope failure still stands
+// is skipped outright (root_fail_cached).
 
 void Controller::consolidate() {
   consol_tally_ = {};
   timed(kPhaseJudge, [&] { judge_consol_candidates(); });
   consol_index_built_ = false;
-  const std::size_t n_cand = consol_order_.size();
-  if (consol_plan_.size() < n_cand) consol_plan_.resize(n_cand);
-  for (std::size_t k = 0; k < n_cand; ++k) consol_plan_[k].computed = false;
-  if (pool_ != nullptr && config_.incremental && config_.prefer_local &&
-      !config_.shadow_diff && n_cand >= 32) {
-    timed(kPhasePrecompute, [&] { precompute_local_plans(); });
-  }
   timed(kPhaseDrain, [&] {
-    for (std::size_t k = 0; k < n_cand; ++k) drain_candidate(k);
+    for (const ConsolCandidate& c : consol_order_) drain_candidate(c.server);
   });
   if (c_consol_candidates_ != nullptr) {
     const ConsolTally& t = consol_tally_;
@@ -1374,7 +1349,7 @@ std::uint64_t Controller::consol_items(std::uint32_t server_index,
   // cannot retain VMs) must find a berth.  The signature fingerprints what
   // would be drained: the packing outcome depends on each hosted app's
   // identity and live demand, which churn can change without moving the
-  // epoch-stamped aggregate (sums can collide bitwise).
+  // reported aggregate (sums can collide bitwise).
   const NodeId s = cluster_.server_ids()[server_index];
   std::uint64_t sig = kFnvOffset;
   items.clear();
@@ -1393,53 +1368,12 @@ bool Controller::root_fail_cached(std::uint32_t server_index,
                                   std::uint64_t sig) const {
   const ConsolFail& f = consol_fail_root_[server_index];
   return config_.incremental && f.valid &&
-         f.epoch == subtree_epoch_[cluster_.tree().root()] &&
-         f.item_sig == sig;
+         f.epoch == change_epoch_ && f.item_sig == sig;
 }
 
-void Controller::precompute_local_plans() {
-  // Each candidate's first question — "does it drain within its parent
-  // group?" — reads only state under that parent plus pure per-server
-  // functions, so the answers are independent and can be precomputed across
-  // the worker pool into disjoint plan slots.  The serial drain consumes a
-  // slot only while the scope's change epoch still matches the snapshot,
-  // which proves a serial recompute would reproduce the plan bitwise — the
-  // decision stream is identical for any pool size (including none).
-  const auto& tree = cluster_.tree();
-  const auto& sids = cluster_.server_ids();
-  const NodeId root = tree.root();
-  util::parallel_for_ranges(
-      pool_, consol_order_.size(), [&](std::size_t begin, std::size_t end) {
-        // Worker-local buffers; the shared scratch members stay untouched
-        // until the serial drain.
-        PackBuffers buf;
-        for (std::size_t k = begin; k < end; ++k) {
-          const std::uint32_t ci = consol_order_[k].server;
-          const NodeId s = sids[ci];
-          const NodeId scope = tree.node(s).parent();
-          if (scope == hier::kNoNode || scope == root) continue;
-          // Mirror the drain's checks (cheap reads, frozen during this
-          // phase); a candidate skipped here just recomputes serially.
-          if (drain_blocked(ci) || cluster_.server_at(ci).apps().empty()) {
-            continue;
-          }
-          ConsolPlan& plan = consol_plan_[k];
-          const std::uint64_t sig = consol_items(ci, plan.items);
-          // The drain answers this one from the root failure cache before
-          // it would look at a local plan.
-          if (root_fail_cached(ci, sig)) continue;
-          plan.placed_all = dry_run(s, plan.items, scope, buf, plan.assign);
-          plan.sig = sig;
-          plan.scope_epoch = subtree_epoch_[scope];
-          plan.computed = true;
-        }
-      });
-}
-
-void Controller::drain_candidate(std::size_t k) {
+void Controller::drain_candidate(std::uint32_t ci) {
   const auto& tree = cluster_.tree();
   const NodeId root = tree.root();
-  const std::uint32_t ci = consol_order_[k].server;
   const NodeId s = cluster_.server_ids()[ci];
   if (drain_blocked(ci)) return;
   ++consol_tally_.candidates;
@@ -1450,11 +1384,8 @@ void Controller::drain_candidate(std::size_t k) {
     return;
   }
 
-  // The item list lives in the candidate's plan slot (member scratch — no
-  // per-candidate allocation).
-  ConsolPlan& plan = consol_plan_[k];
-  const std::uint64_t sig = consol_items(ci, plan.items);
-  const std::vector<PlanItem>& items = plan.items;
+  const std::uint64_t sig = consol_items(ci, consol_items_);
+  const std::vector<PlanItem>& items = consol_items_;
   const bool cached_root_fail = root_fail_cached(ci, sig);
   if (cached_root_fail && !config_.shadow_diff) {
     // Nothing anywhere in the tree changed since this candidate last failed
@@ -1463,23 +1394,11 @@ void Controller::drain_candidate(std::size_t k) {
     return;
   }
 
-  NodeId scope = config_.prefer_local ? tree.node(s).parent() : root;
-  bool placed_all = false;
-  if (scope != root && plan.computed && plan.sig == sig &&
-      plan.scope_epoch == subtree_epoch_[scope]) {
-    // Phase-1 verdict still valid: nothing under the scope moved since the
-    // precompute, so a serial dry run would reproduce it bitwise.
-    placed_all = plan.placed_all;
-    fast_assign_scratch_.assign(plan.assign.begin(), plan.assign.end());
-  } else {
-    placed_all = run_scope(s, items, scope);
-  }
-  if (!placed_all && scope != root) {
-    scope = root;
-    placed_all = run_scope(s, items, root);
-  }
+  const NodeId scope = config_.prefer_local ? tree.node(s).parent() : root;
+  bool placed_all = run_scope(s, items, scope);
+  if (!placed_all && scope != root) placed_all = run_scope(s, items, root);
   if (!placed_all) {
-    consol_fail_root_[ci] = {subtree_epoch_[root], sig, true};
+    consol_fail_root_[ci] = {change_epoch_, sig, true};
     if (cached_root_fail) shadow_verdict(false, "");  // verdict held
     return;
   }
@@ -1510,12 +1429,12 @@ bool Controller::run_scope(NodeId candidate,
     }
     return verdict;
   }
-  return dry_run(candidate, items, scope, pack_buf_, fast_assign_scratch_);
+  return dry_run(candidate, items, scope, fast_assign_scratch_);
 }
 
 bool Controller::dry_run(NodeId candidate, const std::vector<PlanItem>& items,
-                         NodeId scope, PackBuffers& buf,
-                         Assignment& plan) const {
+                         NodeId scope, Assignment& plan) {
+  auto& buf = pack_buf_;
   collect_targets(scope, candidate, buf.targets);
   to_pack_items(items, buf.items);
   make_bins(buf.targets, buf.bins, buf.bin_nodes);
@@ -1532,7 +1451,7 @@ void Controller::shadow_check_fast_root_pack(
     NodeId candidate, const std::vector<PlanItem>& items, bool verdict) {
   Assignment full;
   const bool placed_all =
-      dry_run(candidate, items, cluster_.tree().root(), pack_buf_, full);
+      dry_run(candidate, items, cluster_.tree().root(), full);
   shadow_verdict(
       placed_all != verdict || (verdict && full != fast_assign_scratch_),
       "consolidation fast path diverged", candidate);
@@ -1704,7 +1623,7 @@ void Controller::revive_apps(NodeId server, Watts& headroom) {
   if (revived_any) {
     // A revived app re-enters the live-demand sum immediately.
     cluster_.invalidate_app_demand(server);
-    touch(server);
+    touch();
   }
 }
 
@@ -1739,9 +1658,9 @@ void Controller::restore_apps(NodeId server, Watts& headroom) {
     }
   }
   if (restored_any) {
-    // The restored level changes the next demand draw's mean; stamp the
-    // subtree so consolidation re-judges it alongside that draw.
-    touch(server);
+    // The restored level changes the next demand draw's mean; count it so
+    // consolidation re-judges it alongside that draw.
+    touch();
   }
 }
 

@@ -256,8 +256,9 @@ class Controller {
   /// `node` (workload churn placed/removed an application, an ambient event
   /// re-zoned a server, a fault was injected).  The incremental path treats
   /// everything it has not been told about as unchanged, so the simulator
-  /// must call this for every externally touched server: it stamps the
-  /// change epochs and records the server in the cluster's InputRecord.
+  /// must call this for every externally touched server: it records the
+  /// server in the cluster's InputRecord, marks its report path dirty and
+  /// counts a change (see touch()).
   void note_external_change(NodeId node);
 
   /// Tell the controller a server's availability flipped (crash or restore).
@@ -265,11 +266,8 @@ class Controller {
   /// (see note_active_flip).  Safe in both walk modes.
   void note_availability_change(NodeId node);
 
-  /// Attach a worker pool (not owned; may be null).  Used to shard the
-  /// independent subtree-scope consolidation dry runs; results are merged in
-  /// fixed candidate order and revalidated against the change epochs, so the
-  /// decision stream is byte-identical for any pool size (including none).
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
+  /// No-op (the controller is serial), kept for tickbench/driver.cc's call.
+  void set_thread_pool(util::ThreadPool* /*pool*/) {}
 
   /// Attach a link-fault model (not owned; may be null).  Installed on the
   /// tree (up-link report faults) and consulted by the budget distributor:
@@ -349,11 +347,9 @@ class Controller {
   /// Judge every server against the threshold and fill consol_order_ with
   /// the candidates in drain order.
   void judge_consol_candidates();
-  /// Phase 1: local-scope dry runs on the worker pool, into consol_plan_.
-  void precompute_local_plans();
-  /// Phase 2, one candidate: drain the consol_order_[k] server if all its
-  /// apps find a berth (locally first, then fleet-wide), and sleep it.
-  void drain_candidate(std::size_t k);
+  /// Drain the server at `ci` if all its apps find a berth (locally first,
+  /// then fleet-wide), and sleep it.
+  void drain_candidate(std::uint32_t ci);
 
   /// The candidate must be left alone this pass: it received a migration
   /// this tick, or transfers into or out of it are still in flight.
@@ -374,18 +370,10 @@ class Controller {
   /// fast_assign_scratch_.  Returns whether every item was placed.
   bool run_scope(NodeId candidate, const std::vector<PlanItem>& items,
                  NodeId scope);
-  /// Working storage of one collect-and-pack run.  Caller-owned, so the
-  /// serial paths share member scratch and phase-1 workers bring their own.
-  struct PackBuffers {
-    std::vector<NodeId> targets;
-    std::vector<binpack::Item> items;
-    std::vector<binpack::Bin> bins;
-    std::vector<NodeId> bin_nodes;  ///< bin index -> target node
-  };
   /// Full collect-and-pack dry run at `scope`, skipping `candidate` as a
   /// target; the plan lands in `plan`.  Returns whether every item placed.
   bool dry_run(NodeId candidate, const std::vector<PlanItem>& items,
-               NodeId scope, PackBuffers& buf, Assignment& plan) const;
+               NodeId scope, Assignment& plan);
   /// Fleet-scope verdict: binpack's FFDLR over the capacity index, bitwise
   /// equal to dry_run(candidate, items, root) (see consol_cap_index_).
   bool fast_root_pack(NodeId candidate, const std::vector<PlanItem>& items);
@@ -500,14 +488,14 @@ class Controller {
   // ---- incremental (change-driven) machinery -------------------------------
   // Shared invariant of every cache below: it is keyed on state that, when it
   // changes bitwise, provably marks the cache dirty (a report, a budget
-  // directive, an active-flag flip, an epoch stamp).  A cache hit therefore
+  // directive, an active-flag flip, a touch()).  A cache hit therefore
   // reproduces the full recomputation bit for bit; shadow_diff re-derives each
   // hit and throws on divergence.
 
-  /// Stamp `node` and its whole root path with a fresh change epoch.  Every
-  /// controller-visible mutation under a node funnels through this, so
-  /// subtree_epoch_[n] answers "did anything below n change since epoch E?".
-  void touch(NodeId node);
+  /// Count one change.  Every controller-visible mutation anywhere in the
+  /// tree funnels through this, so an unchanged change_epoch_ proves that
+  /// nothing a consolidation dry run reads has moved since it was noted.
+  void touch() { ++change_epoch_; }
 
   /// min(circuit rating, thermal power limit over one demand period) for the
   /// server at `server_index`, as the controller senses it.  Shared by
@@ -557,7 +545,6 @@ class Controller {
     kPhaseWake,
     kPhaseShed,
     kPhaseJudge,
-    kPhasePrecompute,
     kPhaseDrain,
     kPhaseRevive,
     kPhaseCount
@@ -571,9 +558,8 @@ class Controller {
 
   void resolve_instruments();
 
-  /// Per-entity change epochs (see touch()).
+  /// Changes counted so far (see touch()).
   std::uint64_t change_epoch_ = 0;
-  std::vector<std::uint64_t> subtree_epoch_;  ///< by NodeId
   /// Internal nodes whose top-down division must re-run at the next supply
   /// pass (child demand vector, child capacities or own budget moved).
   std::vector<char> division_dirty_;  ///< by NodeId
@@ -595,13 +581,12 @@ class Controller {
   };
   std::vector<ConsolCandidate> consol_order_;
   /// Cached fleet-scope dry-run failures: "this candidate could not be fully
-  /// drained anywhere while the root's subtree was at this epoch (with these
+  /// drained anywhere while change_epoch_ was at this value (with these
   /// items)".  Valid on every pass, including while migrations are in
   /// flight: the transient absorbed/reserved watts a dry run reads are
-  /// epoch-stamped at every mutation (migration start, landing, release)
-  /// *and* at their per-tick reset (tick() touches the previous tick's
-  /// targets before zeroing absorbed_w_), so an unchanged root epoch proves
-  /// the verdict's inputs are bitwise unchanged.
+  /// touched at every mutation (migration start, landing, release) *and* at
+  /// their per-tick reset (tick() touches before zeroing absorbed_w_), so an
+  /// unchanged epoch proves the verdict's inputs are bitwise unchanged.
   struct ConsolFail {
     std::uint64_t epoch = 0;
     std::uint64_t item_sig = 0;
@@ -726,9 +711,14 @@ class Controller {
   /// descendants are the arena's subtree spans.)
   std::vector<std::vector<NodeId>> server_children_;
 
-  /// Packing scratch of the serial paths (pack_and_apply, dry runs, the
-  /// fast path's items), cleared per use.
-  PackBuffers pack_buf_;
+  /// Packing scratch (pack_and_apply, dry runs, the fast path's items),
+  /// cleared per use.
+  struct {
+    std::vector<NodeId> targets;
+    std::vector<binpack::Item> items;
+    std::vector<binpack::Bin> bins;
+    std::vector<NodeId> bin_nodes;  ///< bin index -> target node
+  } pack_buf_;
   std::vector<const workload::Application*> victim_scratch_;
   std::vector<workload::Application*> shed_scratch_;
   /// Wake-loop sleep pool as a max-heap of (hard limit, NodeId) snapshots.
@@ -748,26 +738,9 @@ class Controller {
   bool consol_index_built_ = false;
   binpack::FfdlrPlan fast_plan_;
   Assignment fast_assign_scratch_;
-
-  /// Per-candidate drain plan, one slot per consol_order_ position, reused
-  /// across ΔA passes (inner vectors keep their capacity — this is also where
-  /// the per-candidate PlanItem list lives, replacing a per-candidate heap
-  /// allocation).  The parallel precompute phase fills slots from worker
-  /// threads (disjoint writes); the serial drain consumes a slot only if the
-  /// scope's epoch has not moved since the precompute, which proves a serial
-  /// recompute would reproduce it bitwise.
-  struct ConsolPlan {
-    std::vector<PlanItem> items;
-    Assignment assign;
-    std::uint64_t sig = 0;
-    std::uint64_t scope_epoch = 0;
-    bool placed_all = false;
-    bool computed = false;
-  };
-  std::vector<ConsolPlan> consol_plan_;
-
-  /// Worker pool for the parallel dry-run phase (not owned; may be null).
-  util::ThreadPool* pool_ = nullptr;
+  /// The drain candidate's items (consol_items), reused so a candidate
+  /// allocates nothing.
+  std::vector<PlanItem> consol_items_;
 };
 
 }  // namespace willow::core

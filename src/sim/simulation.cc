@@ -219,9 +219,6 @@ void Simulation::build() {
           ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
           : config_.threads;
   if (threads > 1) pool_ = std::make_unique<util::ThreadPool>(threads);
-  // The controller shards its independent subtree-scope consolidation dry
-  // runs over the same pool; decisions are byte-identical for any pool size.
-  controller_->set_thread_pool(pool_.get());
   controller_->set_migration_sink([this](const core::MigrationRecord& rec) {
     const auto* app = dc_->cluster.find_app(rec.app);
     const double payload =

@@ -225,7 +225,7 @@ struct SimResult {
 
   /// Keyed per-server lookup by PMU leaf id; nullptr when `node` is not a
   /// recorded server.  Linear scan — meant for analysis/report code, not hot
-  /// loops (those hold handles).
+  /// loops (those index `servers` by slot).
   [[nodiscard]] const ServerMetrics* find_server_metrics(
       hier::NodeId node) const {
     for (std::size_t i = 0; i < server_nodes.size(); ++i) {
@@ -238,12 +238,6 @@ struct SimResult {
     if (const ServerMetrics* m = find_server_metrics(node)) return *m;
     throw std::out_of_range("SimResult: no metrics for node " +
                             std::to_string(node));
-  }
-  /// Handle-keyed lookup: a ServerHandle's index is the arena slot, which is
-  /// exactly this result's server ordering.
-  [[nodiscard]] const ServerMetrics& server_metrics(
-      core::ServerHandle h) const {
-    return servers.at(h.index);
   }
 
   /// Migration counts within the measurement window only (warm-up excluded);

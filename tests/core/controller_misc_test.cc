@@ -1,11 +1,13 @@
 // Remaining controller branches: supply cadence with non-default eta,
 // consolidation without locality preference, revival blocked under reduced
-// ancestors, and capacity-policy interplay with circuit limits.
+// ancestors, capacity-policy interplay with circuit limits, and the guard
+// against a tree that grew after the controller was built.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/controller.h"
@@ -97,6 +99,17 @@ TEST(Consolidation, GlobalScopeWhenLocalityDisabled) {
     hosted += f.cluster.server(s).apps().size();
   }
   EXPECT_EQ(hosted, 2u);
+}
+
+TEST(TopologyGuard, TickRejectsAServerAddedAfterConstruction) {
+  // The controller sizes its per-node state once; a later server would be
+  // addressed past the end of it.
+  Fixture f;
+  f.host(f.s00, 50.0);
+  Controller ctl(f.cluster, ControllerConfig{});
+  ctl.tick(Watts{1000.0});
+  f.cluster.add_server(f.rack0, "late", lax_server());
+  EXPECT_THROW(ctl.tick(Watts{1000.0}), std::logic_error);
 }
 
 TEST(Revival, BlockedWhileAncestorReduced) {

@@ -233,8 +233,8 @@ TEST(ShadowDiff, SettledFleetServesConsolidationFromRootCache) {
   EXPECT_EQ(
       shadow.result.metrics.counter_or_zero("control.shadow_mismatches"), 0u);
 
-  // Phase 1 of the parallel drain skips root-cached candidates; the trace
-  // must not depend on whether a plan was precomputed.
+  // The data plane runs sharded at threads > 1; the trace must not depend
+  // on it.
   const TracedRun threaded = run(cfg, kWindow, false, 4);
   EXPECT_EQ(threaded.trace, after.trace)
       << "settled-fleet trace depends on the thread count";

@@ -334,7 +334,7 @@ TEST(SimulationTickLoop, ControllerSubPhaseTimersSplitTheControllerSpan) {
     sub_phases += t.total_seconds;
     ++phases;
   }
-  EXPECT_EQ(phases, 11u);
+  EXPECT_EQ(phases, 10u);
   const auto* controller = find_timer(m, "sim.phase.controller");
   ASSERT_NE(controller, nullptr);
   EXPECT_LE(sub_phases, controller->total_seconds);
