@@ -110,22 +110,33 @@ NodeId Cluster::add_server(NodeId parent, std::string name,
                            const ServerConfig& cfg) {
   const NodeId id =
       tree_.add_child(parent, std::move(name), hier::NodeKind::kServer);
-  arena_.add(id);
+  // A fresh leaf: its id is past every slot_of_node_ entry so far.
+  slot_of_node_.resize(static_cast<std::size_t>(id) + 1, kNoSlot);
+  slot_of_node_[id] = static_cast<std::uint32_t>(server_ids_.size());
+  server_ids_.push_back(id);
   servers_.emplace_back(id, cfg);
   record_.add_slot();
   return id;
 }
 
+std::uint32_t Cluster::checked_slot_of(NodeId id) const {
+  const std::uint32_t slot = slot_of(id);
+  if (slot == kNoSlot) {
+    throw std::out_of_range("Cluster: node is not a server");
+  }
+  return slot;
+}
+
 ManagedServer& Cluster::server(NodeId id) {
-  return servers_[arena_.checked_slot_of(id)];
+  return servers_[checked_slot_of(id)];
 }
 
 const ManagedServer& Cluster::server(NodeId id) const {
-  return servers_[arena_.checked_slot_of(id)];
+  return servers_[checked_slot_of(id)];
 }
 
 bool Cluster::is_server(NodeId id) const {
-  return arena_.slot_of(id) != ServerArena::kNoSlot;
+  return slot_of(id) != kNoSlot;
 }
 
 void Cluster::place(Application app, NodeId server_id) {
@@ -133,7 +144,7 @@ void Cluster::place(Application app, NodeId server_id) {
     throw std::logic_error("Cluster::place: application already placed");
   }
   // Throws std::out_of_range on a non-server target.
-  const std::uint32_t slot = arena_.checked_slot_of(server_id);
+  const std::uint32_t slot = checked_slot_of(server_id);
   auto& s = servers_[slot];
   app_host_[app.id()] = slot;
   s.apps().push_back(std::move(app));
@@ -143,7 +154,7 @@ void Cluster::place(Application app, NodeId server_id) {
 
 NodeId Cluster::host_of(AppId app) const {
   auto it = app_host_.find(app);
-  return it == app_host_.end() ? hier::kNoNode : arena_.node_of(it->second);
+  return it == app_host_.end() ? hier::kNoNode : server_ids_[it->second];
 }
 
 Application* Cluster::find_app(AppId app) {
@@ -169,7 +180,7 @@ void Cluster::move_app(AppId app, NodeId from, NodeId to) {
   Application moving = std::move(*it);
   src.erase(it);
   server(to).apps().push_back(std::move(moving));
-  app_host_[app] = arena_.slot_of(to);
+  app_host_[app] = slot_of(to);
   invalidate_app_demand(from);
   invalidate_app_demand(to);
 }
@@ -239,7 +250,7 @@ void Cluster::set_ambient(NodeId id, util::Celsius ambient) {
 }
 
 void Cluster::add_temporary_demand(NodeId id, Watts w, int periods) {
-  const std::uint32_t slot = arena_.checked_slot_of(id);
+  const std::uint32_t slot = checked_slot_of(id);
   auto& s = servers_[slot];
   const bool held = s.has_temporary_demand();
   s.add_temporary_demand(w, periods);
@@ -248,7 +259,7 @@ void Cluster::add_temporary_demand(NodeId id, Watts w, int periods) {
 }
 
 void Cluster::invalidate_app_demand(NodeId id) {
-  const std::uint32_t slot = arena_.checked_slot_of(id);
+  const std::uint32_t slot = checked_slot_of(id);
   servers_[slot].invalidate_app_demand_cache();
   record_.mark(slot);
 }
@@ -318,7 +329,7 @@ bool Cluster::observe_leaf(std::size_t slot) {
   // observation; the controller's stale-timeout fallback decides what to do
   // once the silence lasts (docs/fault_model.md).
   if (s.crashed() || s.demand_reading_lost()) {
-    s.note_lost_observation();
+    s.note_observation_lost();
     return true;
   }
   // observe_leaf carries the incremental fast path (bitwise-unchanged

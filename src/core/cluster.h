@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/arena.h"
 #include "fault/fault.h"
 #include "hier/tree.h"
 #include "obs/bus.h"
@@ -141,7 +140,7 @@ class ManagedServer {
     have_last_good_ = true;
     stale_ticks_ = 0;
   }
-  void note_lost_observation() { ++stale_ticks_; }
+  void note_observation_lost() { ++stale_ticks_; }
 
   /// Actual electrical draw under the node's current budget.
   [[nodiscard]] Watts consumed_power(Watts budget) const {
@@ -213,7 +212,7 @@ concept ThermalHook =
     std::invocable<const F&, std::size_t, const hier::Node&, Watts>;
 
 /// Which servers' controller inputs moved since each controller pass last
-/// looked (DESIGN.md §10, "settled tick").  One byte per arena slot and one
+/// looked (DESIGN.md §10, "settled tick").  One byte per server slot and one
 /// bit per consuming pass: a writer sets every bit, and each pass drains
 /// only its own, so passes on different cadences keep their own "since"
 /// point.  Distinct slots are distinct bytes, so the sharded batches record
@@ -271,14 +270,17 @@ class Cluster {
                    hier::NodeKind kind = hier::NodeKind::kRack);
   NodeId add_server(NodeId parent, std::string name, const ServerConfig& cfg);
 
-  /// The dense server index: NodeId <-> slot mapping and subtree spans.
-  /// The arena's slot order is server-creation order and is the index
-  /// space of server_at().
-  [[nodiscard]] const ServerArena& arena() const { return arena_; }
-  [[nodiscard]] ServerArena& arena() { return arena_; }
+  /// Every server occupies one *slot*: a dense index in creation order,
+  /// which is ascending NodeId and the index space of server_at().
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
+  /// The servers' PMU leaves by slot.
   [[nodiscard]] const std::vector<NodeId>& server_ids() const {
-    return arena_.nodes();
+    return server_ids_;
+  }
+  /// The slot of the server at PMU leaf `id`, or kNoSlot for a non-server.
+  [[nodiscard]] std::uint32_t slot_of(NodeId id) const {
+    return id < slot_of_node_.size() ? slot_of_node_[id] : kNoSlot;
   }
   /// The server at PMU leaf `id` (std::out_of_range if `id` is not a
   /// server); hot paths use slot-based server_at() instead.
@@ -311,8 +313,8 @@ class Cluster {
   /// for a non-server).
   void note_input_moved(NodeId id,
                         std::uint8_t passes = InputRecord::kAll) {
-    const std::uint32_t slot = arena_.slot_of(id);
-    if (slot != ServerArena::kNoSlot) record_.mark(slot, passes);
+    const std::uint32_t slot = slot_of(id);
+    if (slot != kNoSlot) record_.mark(slot, passes);
   }
 
   /// Recording setters for the server at PMU leaf `id`.
@@ -485,6 +487,9 @@ class Cluster {
   }
 
  private:
+  /// As slot_of, but throws std::out_of_range for a non-server.
+  [[nodiscard]] std::uint32_t checked_slot_of(NodeId id) const;
+
   /// The body both streamed refreshes share: for each server, call
   /// refresh_apps(i, apps), deposit the demand cache, emit the server's
   /// kDemandReport into its shard slot, then run `per_server`.
@@ -531,9 +536,10 @@ class Cluster {
   }
 
   hier::Tree tree_;
-  ServerArena arena_;                   ///< slot index; see arena.h
-  std::vector<ManagedServer> servers_;  ///< payload, parallel to arena slots
-  InputRecord record_;                  ///< parallel to arena slots
+  std::vector<NodeId> server_ids_;            ///< slot -> PMU leaf
+  std::vector<std::uint32_t> slot_of_node_;  ///< NodeId -> slot or kNoSlot
+  std::vector<ManagedServer> servers_;       ///< by slot
+  InputRecord record_;                       ///< by slot
   /// Slots of the servers holding temporary demand, in no fixed order.
   std::vector<std::uint32_t> temp_holders_;
   std::unordered_map<AppId, std::uint32_t> app_host_;  ///< app -> slot

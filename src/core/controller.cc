@@ -116,6 +116,7 @@ void Controller::build_topology() {
   const std::size_t n = tree.size();
   budget_reduced_.assign(n, false);
   clamped_at_.assign(n, 0);
+  targeted_at_.assign(n, 0);
   absorbed_w_.assign(n, 0.0);
   migrated_from_w_.assign(n, 0.0);
   reserved_in_w_.assign(n, 0.0);
@@ -131,13 +132,30 @@ void Controller::build_topology() {
   server_children_.assign(n, {});
   is_group_parent_.assign(n, 0);
   group_parents_.clear();
-  // Per-subtree server enumeration: contiguous arena slot spans.
-  cluster_.arena().build_subtree_index(tree);
   for (NodeId s : cluster_.server_ids()) {
     const NodeId parent = tree.node(s).parent();
     if (parent != hier::kNoNode) {
       server_children_[parent].push_back(s);
       is_group_parent_[parent] = 1;
+    }
+  }
+  // Subtree server lists: count each server on its node and every ancestor,
+  // then fill in server order, so each list comes out ascending.
+  subtree_offsets_.assign(n + 1, 0);
+  for (NodeId s : cluster_.server_ids()) {
+    for (NodeId a = s; a != hier::kNoNode; a = tree.node(a).parent()) {
+      ++subtree_offsets_[a + 1];
+    }
+  }
+  for (std::size_t id = 0; id < n; ++id) {
+    subtree_offsets_[id + 1] += subtree_offsets_[id];
+  }
+  subtree_servers_.resize(subtree_offsets_[n]);
+  std::vector<std::uint32_t> fill(subtree_offsets_.begin(),
+                                  subtree_offsets_.end() - 1);
+  for (NodeId s : cluster_.server_ids()) {
+    for (NodeId a = s; a != hier::kNoNode; a = tree.node(a).parent()) {
+      subtree_servers_[fill[a]++] = s;
     }
   }
   for (NodeId id : internal_bottom_up_) {
@@ -301,7 +319,7 @@ void Controller::visit_moved(std::uint8_t pass, const char* what,
 void Controller::apply_stale_observations() {
   if (config_.stale_timeout_ticks <= 0) return;
   auto& tree = cluster_.tree();
-  for (const std::uint32_t i : lost_) {
+  for (std::size_t i = 0; i < cluster_.server_count(); ++i) {
     const auto& srv = cluster_.server_at(i);
     // A crashed server's leaf is inactive (the sweep already feeds its
     // subtree zero); synthesis only covers servers that are up but silent.
@@ -334,7 +352,7 @@ void Controller::apply_fallback_budgets() {
   if (config_.stale_timeout_ticks <= 0) return;
   const auto& tree = cluster_.tree();
   const auto& sids = cluster_.server_ids();
-  for (const std::uint32_t i : lost_) {
+  for (std::size_t i = 0; i < cluster_.server_count(); ++i) {
     const auto& srv = cluster_.server_at(i);
     if (srv.asleep() || srv.crashed()) continue;
     if (srv.stale_ticks() < config_.stale_timeout_ticks) continue;
@@ -502,7 +520,6 @@ void Controller::reset_transients() {
     migrated_from_w_[rec.from] = 0.0;
   }
   migrations_this_tick_.clear();
-  targets_this_tick_.clear();
   if (!config_.incremental) {
     absorbed_w_.assign(absorbed_w_.size(), 0.0);
     migrated_from_w_.assign(migrated_from_w_.size(), 0.0);
@@ -520,14 +537,10 @@ void Controller::observe_leaves() {
   // A server's observation can change something only if its inputs moved
   // or it is not yet quiet (DESIGN.md §10, "settled tick").
   auto& record = cluster_.input_record();
-  lost_.clear();
   visit_moved(
       kObservePass, "observation skipped a server whose inputs moved",
       [&](std::size_t i) {
         if (cluster_.observe_leaf(i)) record.mark(i, kObservePass);
-        if (cluster_.server_at(i).stale_ticks() > 0) {
-          lost_.push_back(static_cast<std::uint32_t>(i));
-        }
       },
       [&](std::size_t i) { return cluster_.observation_would_act(i); });
 }
@@ -892,7 +905,7 @@ void Controller::apply_migration(const PlanItem& item, NodeId target) {
     mark_plan(item.source);
   }
   absorbed_w_[target] += item.size.value();
-  targets_this_tick_.insert(target);
+  targeted_at_[target] = tick_;
   touch();
 
   const auto& tree = cluster_.tree();
@@ -952,10 +965,10 @@ void Controller::make_bins(const std::vector<NodeId>& targets,
 void Controller::collect_targets(NodeId scope, NodeId exclude,
                                  std::vector<NodeId>& out) const {
   const auto& tree = cluster_.tree();
-  const auto& arena = cluster_.arena();
   out.clear();
-  for (const std::uint32_t slot : arena.subtree(scope)) {
-    const NodeId t = arena.node_of(slot);
+  for (std::uint32_t k = subtree_offsets_[scope];
+       k < subtree_offsets_[scope + 1]; ++k) {
+    const NodeId t = subtree_servers_[k];
     if (t != exclude && tree.node(t).active() && eligible_target(t, scope)) {
       out.push_back(t);
     }
@@ -1333,7 +1346,7 @@ void Controller::judge_consol_candidates() {
 
 bool Controller::drain_blocked(std::uint32_t server_index) const {
   const NodeId s = cluster_.server_ids()[server_index];
-  if (targets_this_tick_.contains(s)) return true;
+  if (targeted_at_[s] == tick_) return true;
   // Latency mode: leave servers with transfers in either direction alone
   // until the dust settles.
   if (reserved_in_w_[s] > kEps || outbound_in_flight_w_[s] > kEps) return true;
@@ -1490,7 +1503,7 @@ void Controller::build_consol_index() {
 
 void Controller::consol_index_erase(NodeId target) {
   if (!consol_index_built_) return;
-  const std::uint32_t slot = cluster_.arena().slot_of(target);
+  const std::uint32_t slot = cluster_.slot_of(target);
   const double key = consol_cap_of_[slot];
   if (key < 0.0) return;
   consol_cap_index_.erase(std::pair<double, NodeId>{key, target});
@@ -1508,7 +1521,7 @@ void Controller::consol_index_update(NodeId target) {
   const double cap = target_capacity(target).value();
   if (cap <= kEps) return;
   consol_cap_index_.insert(std::pair<double, NodeId>{cap, target});
-  consol_cap_of_[cluster_.arena().slot_of(target)] = cap;
+  consol_cap_of_[cluster_.slot_of(target)] = cap;
   ++consol_tally_.index_updates;
 }
 

@@ -395,7 +395,7 @@ class Controller {
   /// leaves, sweep the reports, retry directives.
   void observe_and_report();
   /// Observe the leaves of the servers whose inputs moved or that are not
-  /// yet quiet, and list the ones left lost or stale in lost_.
+  /// yet quiet.
   void observe_leaves();
   /// Zero absorbed_w_/migrated_from_w_ at the slots last tick wrote.
   void reset_transients();
@@ -407,7 +407,7 @@ class Controller {
   /// Feed decayed last-known-good demand for servers whose reports have been
   /// silent past the stale timeout (runs between leaf observation and the
   /// report sweep; the synthetic value flows through the normal EWMA path so
-  /// incremental == full holds under faults).  Visits lost_ only.
+  /// incremental == full holds under faults).
   void apply_stale_observations();
   /// Clamp dark servers' budgets to the always-safe steady-state envelope
   /// (fail-safe toward thermal limits, never above) — the budget-side twin
@@ -458,7 +458,7 @@ class Controller {
   void make_bins(const std::vector<NodeId>& targets,
                  std::vector<binpack::Bin>& bins,
                  std::vector<NodeId>& bin_nodes) const;
-  /// Active servers under `scope` (subtree span order) other than `exclude`
+  /// Active servers under `scope` (ascending NodeId) other than `exclude`
   /// that the unidirectional rule admits as targets within `scope`.
   void collect_targets(NodeId scope, NodeId exclude,
                        std::vector<NodeId>& out) const;
@@ -473,9 +473,10 @@ class Controller {
   [[nodiscard]] Watts target_capacity(NodeId server) const;
 
   /// Build the membership-derived topology (walk lists, groups, subtree
-  /// spans) and size the per-node state.  Node membership is fixed once the
-  /// controller exists (only active flags and budgets change per tick), so
-  /// the constructor runs this once and tick() rejects a grown tree.
+  /// server lists) and size the per-node state.  Node membership is fixed
+  /// once the controller exists (only active flags and budgets change per
+  /// tick), so the constructor runs this once and tick() rejects a grown
+  /// tree.
   void build_topology();
 
   /// Emit one decision event when tracing is on; the controller's only test
@@ -568,9 +569,6 @@ class Controller {
   std::vector<char> limit_dirty_;  ///< by NodeId
   /// Group parents whose demand planning must run this tick (mark_plan).
   std::vector<char> plan_marked_;  ///< by NodeId
-  /// Slots left lost or stale by this tick's observation, ascending: the
-  /// only servers the stale and fallback paths can act on.
-  std::vector<std::uint32_t> lost_;
 
   /// This ΔA pass's consolidation candidates in drain order, rebuilt by
   /// judge_consol_candidates() on every pass.
@@ -691,9 +689,10 @@ class Controller {
   /// Demand leaving each source via in-flight transfers (credited against
   /// its deficit so the same load is not shed or re-planned while moving).
   std::vector<double> outbound_in_flight_w_;
-  /// Servers that received a migration this tick (never consolidation
-  /// sources in the same tick — avoids intra-tick ping-pong).
-  std::unordered_set<NodeId> targets_this_tick_;
+  /// The tick in which each server last received a migration; a server
+  /// targeted this tick is no consolidation source (avoids intra-tick
+  /// ping-pong).
+  std::vector<long> targeted_at_;  ///< by NodeId
   std::function<void(const MigrationRecord&)> sink_;
   obs::EventBus* bus_ = nullptr;
 
@@ -707,9 +706,13 @@ class Controller {
   /// groups" demand adaptation plans over).
   std::vector<NodeId> group_parents_;
   std::vector<char> is_group_parent_;  ///< by NodeId
-  /// Direct server children per node, in child order.  (Per-node server
-  /// descendants are the arena's subtree spans.)
+  /// Direct server children per node, in child order.
   std::vector<std::vector<NodeId>> server_children_;
+  /// Server descendants per node (a server lists itself), ascending NodeId
+  /// = creation order, as compressed rows: node n's list is
+  /// subtree_servers_[subtree_offsets_[n], subtree_offsets_[n + 1]).
+  std::vector<std::uint32_t> subtree_offsets_;  ///< by NodeId, plus one
+  std::vector<NodeId> subtree_servers_;
 
   /// Packing scratch (pack_and_apply, dry runs, the fast path's items),
   /// cleared per use.

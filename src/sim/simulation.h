@@ -195,9 +195,9 @@ struct SwitchMetrics {
 
 struct SimResult {
   /// PMU leaf id of each entry in `servers`, index-aligned (creation /
-  /// paper numbering order — the same order the cluster's arena assigns
-  /// slots).  Use the keyed accessors below instead of positional indexing:
-  /// positions couple callers to fleet build order, node ids do not.
+  /// paper numbering order — the cluster's server slot order).  Use the
+  /// keyed accessors below instead of positional indexing: positions couple
+  /// callers to fleet build order, node ids do not.
   std::vector<hier::NodeId> server_nodes;
   std::vector<ServerMetrics> servers;          ///< index-aligned w/ server_nodes
   std::vector<SwitchMetrics> level1_switches;  ///< Fig. 11 / Fig. 12

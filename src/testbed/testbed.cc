@@ -156,6 +156,8 @@ RunResult Testbed::run(const power::SupplyProfile& supply, long ticks,
           app.set_demand(Watts{std::max(0.0, noisy)});
         }
       }
+      // The demands changed behind the cache the refresh just deposited.
+      cluster_->invalidate_app_demand(s);
     }
 
     const Watts available = supply.at(Seconds{t});

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "workload/mix.h"
 
 namespace willow::core {
@@ -43,6 +46,38 @@ TEST(Cluster, ServerRegistry) {
   EXPECT_TRUE(f.cluster.is_server(f.sa));
   EXPECT_FALSE(f.cluster.is_server(f.rack));
   EXPECT_EQ(f.cluster.server(f.sa).node(), f.sa);
+}
+
+TEST(Cluster, SlotMappingIsDenseAndBidirectional) {
+  // Two racks of three servers: slots follow creation order, and slot_of
+  // inverts server_ids().
+  Cluster cluster{1.0};
+  const NodeId root = cluster.add_root("dc");
+  std::vector<NodeId> servers;
+  std::vector<NodeId> racks;
+  for (int r = 0; r < 2; ++r) {
+    racks.push_back(cluster.add_group(root, "rack"));
+    for (int i = 0; i < 3; ++i) {
+      servers.push_back(cluster.add_server(racks.back(), "srv", small_server()));
+    }
+  }
+  EXPECT_EQ(cluster.server_ids(), servers);
+  ASSERT_EQ(cluster.server_count(), 6u);
+  for (std::uint32_t slot = 0; slot < 6; ++slot) {
+    EXPECT_EQ(cluster.slot_of(servers[slot]), slot);
+    EXPECT_EQ(cluster.server_at(slot).node(), servers[slot]);
+  }
+  // The root, the racks and out-of-range ids are not servers.
+  EXPECT_EQ(cluster.slot_of(root), Cluster::kNoSlot);
+  for (const NodeId rack : racks) {
+    EXPECT_EQ(cluster.slot_of(rack), Cluster::kNoSlot);
+  }
+  EXPECT_EQ(cluster.slot_of(NodeId{10'000}), Cluster::kNoSlot);
+  EXPECT_THROW((void)cluster.server(root), std::out_of_range);
+  EXPECT_THROW((void)cluster.server(NodeId{10'000}), std::out_of_range);
+  EXPECT_THROW(cluster.place(Application(1, 0, 10_W, 512_MB), racks[0]),
+               std::out_of_range);
+  EXPECT_THROW(cluster.set_report_fault(racks[1], true), std::out_of_range);
 }
 
 TEST(Cluster, CircuitLimitDefaultsToNameplate) {

@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/controller.h"
 #include "obs/sink.h"
@@ -110,6 +112,76 @@ TEST(TopologyGuard, TickRejectsAServerAddedAfterConstruction) {
   ctl.tick(Watts{1000.0});
   f.cluster.add_server(f.rack0, "late", lax_server());
   EXPECT_THROW(ctl.tick(Watts{1000.0}), std::logic_error);
+}
+
+/// One consolidation pass over two racks whose servers were created
+/// alternately (rack0, rack1, rack0, ...), so each rack's servers are not
+/// adjacent in creation order.  The middle rack0 server is light; its rack
+/// mates have surplus, and the rack1 servers between them have less (the
+/// packer's preferred fit, were they wrongly in rack0's scope).
+struct InterleavedRun {
+  std::vector<NodeId> rack0_servers;
+  std::vector<MigrationRecord> moves;
+  bool light_asleep = false;
+  std::string trace;
+};
+
+InterleavedRun run_interleaved(bool incremental) {
+  Cluster cluster{1.0};
+  const NodeId root = cluster.add_root("dc");
+  const NodeId rack0 = cluster.add_group(root, "rack0");
+  const NodeId rack1 = cluster.add_group(root, "rack1");
+  InterleavedRun run;
+  std::vector<NodeId> rack1_servers;
+  for (int i = 0; i < 5; ++i) {
+    auto& servers = i % 2 == 0 ? run.rack0_servers : rack1_servers;
+    servers.push_back(cluster.add_server(i % 2 == 0 ? rack0 : rack1,
+                                         "s" + std::to_string(i),
+                                         lax_server()));
+  }
+  workload::AppIdAllocator ids;
+  const auto host = [&](NodeId server, Watts w) {
+    cluster.place(Application(ids.next(), 0, w, 512_MB), server);
+  };
+  host(run.rack0_servers[0], 170_W);
+  host(run.rack0_servers[1], 20_W);  // ~4.5% utilization: the candidate
+  host(run.rack0_servers[2], 170_W);
+  for (const NodeId s : rack1_servers) host(s, 250_W);
+
+  obs::EventBus bus;
+  std::ostringstream trace;
+  bus.add_sink(std::make_shared<obs::JsonlTraceSink>(trace));
+  ControllerConfig cfg;
+  cfg.margin = 5_W;
+  cfg.migration_cost = 2_W;
+  cfg.incremental = incremental;
+  cfg.shadow_diff = incremental;
+  Controller ctl(cluster, cfg);
+  ctl.set_event_bus(&bus);
+  ctl.set_migration_sink(
+      [&](const MigrationRecord& r) { run.moves.push_back(r); });
+  for (long t = 1; t <= 7; ++t) {  // ΔA fires at tick 7
+    bus.set_tick(t);
+    ctl.tick(Watts{2250.0});
+  }
+  bus.flush();
+  run.light_asleep = cluster.server(run.rack0_servers[1]).asleep();
+  run.trace = trace.str();
+  return run;
+}
+
+TEST(Consolidation, InterleavedRacksDrainWithinTheirOwnRack) {
+  const InterleavedRun inc = run_interleaved(true);
+  EXPECT_TRUE(inc.light_asleep);
+  ASSERT_FALSE(inc.moves.empty());
+  for (const auto& m : inc.moves) {
+    EXPECT_EQ(m.cause, MigrationCause::kConsolidation);
+    EXPECT_EQ(m.from, inc.rack0_servers[1]);
+    EXPECT_TRUE(m.local) << "app " << m.app << " left rack0 for " << m.to;
+    EXPECT_TRUE(m.to == inc.rack0_servers[0] || m.to == inc.rack0_servers[2]);
+  }
+  EXPECT_EQ(inc.trace, run_interleaved(false).trace)
+      << "incremental and full walks diverged";
 }
 
 TEST(Revival, BlockedWhileAncestorReduced) {

@@ -3,8 +3,8 @@
 // 8 tick-engine threads.  The trace covers every control decision (budgets,
 // reports, migrations, sleeps), so hash equality here is the scaled-up
 // version of the shadow-diff gate's equivalence claim — exercised on fleets
-// big enough that the arena spans and the consolidation fast path actually
-// carry the load.
+// big enough that the subtree server lists and the consolidation fast path
+// actually carry the load.
 #include <gtest/gtest.h>
 
 #include <cstdint>

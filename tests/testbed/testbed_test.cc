@@ -156,6 +156,26 @@ TEST(EnergyPlentyRun, PowerSavingsAroundPaperNumber) {
   EXPECT_NEAR(saving, 0.275, 0.06);
 }
 
+TEST(Run, PowerNoiseReachesConsumedPower) {
+  // The noisy per-app demands must reach what the servers report and draw,
+  // not stay hidden behind the refresh's noiseless demand cache.
+  const auto consumed_a = [](double noise_w) {
+    TestbedConfig cfg;
+    cfg.power_noise_w = noise_w;
+    Testbed tb(cfg);
+    tb.load_utilizations(0.8, 0.6, 0.3);
+    return tb.run(*power::paper_fig19_trace(), 30).consumed[0];
+  };
+  const auto quiet = consumed_a(0.0);
+  const auto noisy = consumed_a(1.5);
+  ASSERT_EQ(quiet.size(), noisy.size());
+  std::size_t differ = 0;
+  for (std::size_t t = 0; t < quiet.size(); ++t) {
+    if (quiet.at(t) != noisy.at(t)) ++differ;
+  }
+  EXPECT_GT(differ, 0u);
+}
+
 TEST(Run, SupplySeriesEchoesTrace) {
   Testbed tb;
   tb.load_utilizations(0.5, 0.5, 0.5);
