@@ -3,12 +3,57 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include "thermal/calibration.h"
 
 namespace willow::testbed {
 namespace {
 
 using namespace willow::util::literals;
+
+/// Every recorded value of a run, each double as an exact hex float, hashed
+/// with FNV-1a: a last-bit drift anywhere in the run changes the hash.
+std::uint64_t fingerprint(const RunResult& r) {
+  std::string s;
+  const auto put = [&](double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%a,", v);
+    s += buf;
+  };
+  const auto put_series = [&](const util::TimeSeries& series) {
+    for (const double v : series.values()) put(v);
+    s += '\n';
+  };
+  put_series(r.supply);
+  put_series(r.migrations);
+  put_series(r.temperature_a);
+  put_series(r.avg_temperature);
+  for (int i = 0; i < 3; ++i) {
+    put_series(r.utilization[i]);
+    put_series(r.consumed[i]);
+    put(r.final_utilization[i]);
+    s += r.asleep[i] ? "1\n" : "0\n";
+  }
+  const auto& st = r.stats;
+  for (const std::uint64_t n :
+       {st.demand_migrations, st.consolidation_migrations, st.local_migrations,
+        st.nonlocal_migrations, st.drops, st.revivals, st.degrades,
+        st.restores, st.sleeps, st.wakes}) {
+    s += std::to_string(n) + ',';
+  }
+  put(st.dropped_demand.value());
+  put(st.degraded_demand.value());
+  s += r.ping_pong ? "1" : "0";
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 TEST(TestbedSetup, ThreeServersTwoSwitches) {
   Testbed tb;
@@ -154,6 +199,23 @@ TEST(EnergyPlentyRun, PowerSavingsAroundPaperNumber) {
   }
   const double saving = (before - after) / before;
   EXPECT_NEAR(saving, 0.275, 0.06);
+}
+
+// The two Sec. V-C runs pinned to the bit, so a change to the testbed's
+// demand refresh or to the controller that moves any recorded value fails
+// here rather than only in the bench output.
+TEST(EnergyDeficientRun, ResultsArePinned) {
+  Testbed tb;
+  tb.load_utilizations(0.8, 0.6, 0.3);
+  const auto result = tb.run(*power::paper_fig15_trace(), 30);
+  EXPECT_EQ(fingerprint(result), 0xfd37fd0c759bcb86ull) << std::hex << fingerprint(result);
+}
+
+TEST(EnergyPlentyRun, ResultsArePinned) {
+  Testbed tb;
+  tb.load_utilizations(0.8, 0.4, 0.2);
+  const auto result = tb.run(*power::paper_fig19_trace(), 30);
+  EXPECT_EQ(fingerprint(result), 0xb68762e4750f12d9ull) << std::hex << fingerprint(result);
 }
 
 TEST(Run, PowerNoiseReachesConsumedPower) {
