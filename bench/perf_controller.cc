@@ -18,7 +18,6 @@ using namespace willow;
 struct Plant {
   std::unique_ptr<sim::Datacenter> dc;
   std::unique_ptr<core::Controller> controller;
-  std::unique_ptr<util::Rng> rng;
   workload::PoissonDemand demand{util::Watts{1.0}};
   double supply_w = 0.0;
 
@@ -31,13 +30,13 @@ struct Plant {
     options.server.thermal.c2 = 0.05;
     options.server.power_model = power::ServerPowerModel::paper_simulation();
     dc = sim::build_datacenter(options);
-    rng = std::make_unique<util::Rng>(99);
+    util::Rng rng(99);
     workload::AppIdAllocator ids;
     workload::MixConfig mix;
     mix.unit_power = util::Watts{1.0};
     mix.target_mean_per_server = util::Watts{18.125 * 0.6};
     for (auto s : dc->servers) {
-      for (auto& app : workload::build_mix(mix, ids, *rng)) {
+      for (auto& app : workload::build_mix(mix, ids, rng)) {
         dc->cluster.place(std::move(app), s);
       }
     }
@@ -50,7 +49,8 @@ struct Plant {
   }
 
   void tick() {
-    dc->cluster.refresh_demands(demand, *rng);
+    dc->cluster.refresh_demands(demand, 99, controller->tick_count(), 1.0,
+                                 nullptr);
     controller->tick(util::Watts{supply_w});
     dc->cluster.step_thermal(util::Seconds{1.0});
   }

@@ -67,7 +67,7 @@ int main() {
   table.set_precision(1);
   for (int t = 0; t < 20; ++t) {
     const Watts supply{t < 10 ? 1200.0 : 700.0};
-    cluster.refresh_demands_constant();
+    cluster.refresh_demands_deterministic(1.0, nullptr);
     controller.tick(supply);
     cluster.step_thermal(1_s);
     auto& tr = cluster.tree();

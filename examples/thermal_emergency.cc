@@ -74,7 +74,7 @@ int main() {
         cluster.set_ambient(servers[s], 45_degC);
       }
     }
-    cluster.refresh_demands(demand, rng);
+    cluster.refresh_demands(demand, 7, t, 1.0, nullptr);
     controller.tick(supply);
     cluster.step_thermal(1_s);
 

@@ -12,7 +12,7 @@ ManagedServer::ManagedServer(NodeId node, const ServerConfig& cfg)
       thermal_(cfg.thermal) {}
 
 void ManagedServer::add_temporary_demand(Watts w, int periods) {
-  if (w.value() < 0.0 || periods <= 0) {
+  if (!(w.value() >= 0.0) || periods <= 0) {
     throw std::invalid_argument("add_temporary_demand: bad arguments");
   }
   temp_.emplace_back(w, periods);
@@ -269,7 +269,7 @@ void Cluster::set_group_circuit_limit(NodeId group, Watts limit) {
     throw std::invalid_argument(
         "set_group_circuit_limit: node is not an internal group");
   }
-  if (limit.value() < 0.0) {
+  if (!(limit.value() >= 0.0)) {
     throw std::invalid_argument("set_group_circuit_limit: negative rating");
   }
   group_circuit_limits_[group] = limit;
@@ -282,14 +282,6 @@ std::optional<Watts> Cluster::group_circuit_limit(NodeId group) const {
 }
 
 void Cluster::refresh_demands(const workload::PoissonDemand& process,
-                              util::Rng& rng, double intensity) {
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    process.refresh_all(servers_[i].apps(), rng, intensity);
-    deposit_app_demand(i);
-  }
-}
-
-void Cluster::refresh_demands(const workload::PoissonDemand& process,
                               std::uint64_t seed, long tick, double intensity,
                               util::ThreadPool* pool,
                               const PerServerHook* per_server) {
@@ -297,13 +289,6 @@ void Cluster::refresh_demands(const workload::PoissonDemand& process,
     refresh_demands(process, seed, tick, intensity, pool, [](std::size_t) {});
   } else {
     refresh_demands(process, seed, tick, intensity, pool, *per_server);
-  }
-}
-
-void Cluster::refresh_demands_constant() {
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    workload::ConstantDemand::refresh_all(servers_[i].apps());
-    deposit_app_demand(i);
   }
 }
 

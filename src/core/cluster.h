@@ -361,11 +361,6 @@ class Cluster {
   /// Rating if one was set; nullopt means "feed never binds".
   [[nodiscard]] std::optional<Watts> group_circuit_limit(NodeId group) const;
 
-  /// Refresh all application demands for one period; `intensity` scales the
-  /// means (demand-side variation, Sec. I).  Sequential form: one shared
-  /// generator, draw order = server order.
-  void refresh_demands(const workload::PoissonDemand& process, util::Rng& rng,
-                       double intensity = 1.0);
   /// Per-server piggyback hooks for the fused tick fan-out.  The sharded
   /// sweeps below take them as a template parameter, so a lambda is called
   /// directly, with no type erasure per server:
@@ -403,7 +398,6 @@ class Cluster {
                        std::uint64_t seed, long tick, double intensity,
                        util::ThreadPool* pool,
                        const PerServerHook* per_server = nullptr);
-  void refresh_demands_constant();
   /// Deterministic (constant-demand) counterpart of the streamed refresh:
   /// each app's demand becomes its intensity-scaled effective mean, with the
   /// same sharding, demand-cache deposit and per-server kDemandReport

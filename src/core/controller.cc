@@ -195,10 +195,6 @@ void Controller::note_external_change(NodeId node) {
 }
 
 void Controller::note_availability_change(NodeId node) {
-  note_active_flip(node);
-}
-
-void Controller::note_active_flip(NodeId node) {
   // The flip changes the parent's roll-up and division, and the node must
   // re-report.  Unconditional (not gated on config_.incremental): the dirty
   // flags are only consulted by the incremental walk, and the full walk
@@ -851,9 +847,6 @@ void Controller::complete_due_migrations() {
     const bool lands = cluster_.host_of(m.app) == m.source;
     if (lands) {
       cluster_.move_app(m.app, m.source, m.target);
-      if (Application* app = cluster_.find_app(m.app)) {
-        app->set_last_migrated_at(static_cast<double>(tick_));
-      }
     }
     reserved_in_w_[m.target] =
         std::max(0.0, reserved_in_w_[m.target] - m.demand.value());
@@ -889,9 +882,6 @@ void Controller::apply_migration(const PlanItem& item, NodeId target) {
   if (transfer_periods == 0) {
     // The paper's model: placement changes within the decision period.
     cluster_.move_app(item.app, item.source, target);
-    if (Application* app = cluster_.find_app(item.app)) {
-      app->set_last_migrated_at(static_cast<double>(tick_));
-    }
     migrated_from_w_[item.source] += item.demand.value();
   } else {
     // Latency mode: the VM keeps running at the source while the image
@@ -1161,7 +1151,7 @@ void Controller::wake_for(std::vector<PlanItem>& pending) {
       const NodeId s = sleepers.back().second;
       sleepers.pop_back();
       cluster_.wake_server(s);
-      note_active_flip(s);
+      note_availability_change(s);
       ++stats_.wakes;
       emit(obs::EventType::kWake, s, hier::kNoNode, 0,
            obs::Reason::kSupplyDeficit);
@@ -1531,7 +1521,7 @@ void Controller::put_to_sleep(NodeId server) {
   cluster_.sleep_server(server);
   // Zeroed outside the distributor's bookkeeping.
   tree.node(server).set_budget(Watts{0.0});
-  note_active_flip(server);
+  note_availability_change(server);
   ++stats_.sleeps;
   emit(obs::EventType::kSleep, server, hier::kNoNode, 0,
        obs::Reason::kConsolidation);

@@ -261,9 +261,11 @@ class Controller {
   /// counts a change (see touch()).
   void note_external_change(NodeId node);
 
-  /// Tell the controller a server's availability flipped (crash or restore).
-  /// Re-dirties the incremental plane exactly like the sleep/wake paths
-  /// (see note_active_flip).  Safe in both walk modes.
+  /// Tell the controller a server's active flag flipped (sleep, wake, crash,
+  /// restore): the parent's hard-limit roll-up and division must re-run, and
+  /// the server's report path is marked pending.  The sleep/wake paths call
+  /// it themselves; the simulator calls it for crashes and restores.  Safe in
+  /// both walk modes.
   void note_availability_change(NodeId node);
 
   /// No-op (the controller is serial), kept for tickbench/driver.cc's call.
@@ -435,11 +437,6 @@ class Controller {
   /// Set `node`'s budget-reduced flag, remembering it for the next supply
   /// pass's clear.
   void mark_budget_reduced(NodeId node);
-
-  /// A server's active flag flipped (sleep, wake, crash, restart): the
-  /// parent's hard-limit roll-up and division must re-run, and the server's
-  /// report path is marked pending.
-  void note_active_flip(NodeId node);
 
   /// Target eligibility under the unidirectional rule within `scope`.
   [[nodiscard]] bool eligible_target(NodeId target_server, NodeId scope) const;

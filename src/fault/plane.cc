@@ -79,8 +79,6 @@ void FaultPlane::step(long tick, util::ThreadPool* pool, const Callbacks& cb) {
 
 void FaultPlane::apply(long tick, const Callbacks& cb) {
   const std::size_t n = state_.size();
-  const bool sensors = config_.power_sensor.any() || config_.temp_sensor.any();
-  const bool crashes = config_.crash_probability > 0.0;
 
   // Apply phase: fixed server order, scheduled events before samples so a
   // scripted outage at tick T is not pre-empted by a probabilistic crash.
@@ -95,6 +93,8 @@ void FaultPlane::apply(long tick, const Callbacks& cb) {
     }
   }
 
+  // Without probabilistic sources the plan stays all-empty (nothing samples
+  // into it), so the loop below only restarts scheduled crashes.
   for (std::size_t i = 0; i < n; ++i) {
     auto& st = state_[i];
 
@@ -105,44 +105,30 @@ void FaultPlane::apply(long tick, const Callbacks& cb) {
       if (cb.restart) cb.restart(i);
     }
 
-    if (sensors || crashes) {
-      const auto& p = plan_[i];
-      if (p.crash && !st.down) {
-        st.down = true;
-        st.up_at = tick + (config_.crash_down_ticks < 1
-                               ? 1
-                               : config_.crash_down_ticks);
-        if (cb.crash) cb.crash(i, st.up_at - tick);
-      }
-
-      // Sensor episode expiry, then (if healthy) onset.
-      auto advance = [&](SensorEpisode& ep, bool onset,
-                         const SensorEpisode& proposed, bool is_temp) {
-        if (ep.mode != SensorMode::kOk && tick >= ep.until_tick) {
-          ep = SensorEpisode{};
-          if (cb.sensor) cb.sensor(i, SensorOverride{}, is_temp);
-        }
-        if (ep.mode == SensorMode::kOk && onset && !st.down) {
-          ep = proposed;
-          if (cb.sensor) {
-            cb.sensor(i, SensorOverride{ep.mode, ep.param}, is_temp);
-          }
-        }
-      };
-      advance(st.power, p.power_onset, p.power, /*is_temp=*/false);
-      advance(st.temp, p.temp_onset, p.temp, /*is_temp=*/true);
-    } else {
-      // No probabilistic sources: still expire episodes left over from a
-      // scheduled-crash-only configuration (none can start, but be safe).
-      auto expire = [&](SensorEpisode& ep, bool is_temp) {
-        if (ep.mode != SensorMode::kOk && tick >= ep.until_tick) {
-          ep = SensorEpisode{};
-          if (cb.sensor) cb.sensor(i, SensorOverride{}, is_temp);
-        }
-      };
-      expire(st.power, /*is_temp=*/false);
-      expire(st.temp, /*is_temp=*/true);
+    const auto& p = plan_[i];
+    if (p.crash && !st.down) {
+      st.down = true;
+      st.up_at =
+          tick + (config_.crash_down_ticks < 1 ? 1 : config_.crash_down_ticks);
+      if (cb.crash) cb.crash(i, st.up_at - tick);
     }
+
+    // Sensor episode expiry, then (if healthy) onset.
+    auto advance = [&](SensorEpisode& ep, bool onset,
+                       const SensorEpisode& proposed, bool is_temp) {
+      if (ep.mode != SensorMode::kOk && tick >= ep.until_tick) {
+        ep = SensorEpisode{};
+        if (cb.sensor) cb.sensor(i, SensorOverride{}, is_temp);
+      }
+      if (ep.mode == SensorMode::kOk && onset && !st.down) {
+        ep = proposed;
+        if (cb.sensor) {
+          cb.sensor(i, SensorOverride{ep.mode, ep.param}, is_temp);
+        }
+      }
+    };
+    advance(st.power, p.power_onset, p.power, /*is_temp=*/false);
+    advance(st.temp, p.temp_onset, p.temp, /*is_temp=*/true);
   }
 }
 

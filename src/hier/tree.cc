@@ -61,14 +61,6 @@ std::vector<NodeId> Tree::leaves() const {
   return out;
 }
 
-std::vector<NodeId> Tree::leaves_of_kind(NodeKind kind) const {
-  std::vector<NodeId> out;
-  for (const auto& n : nodes_) {
-    if (n.is_leaf() && n.kind() == kind) out.push_back(n.id());
-  }
-  return out;
-}
-
 int Tree::height() const { return height_; }
 
 int Tree::level_of(NodeId id) const {
@@ -82,16 +74,6 @@ const std::vector<NodeId>& Tree::nodes_at_level(int level) const {
   return by_depth_[static_cast<std::size_t>(depth)];
 }
 
-std::size_t Tree::max_branching_at_level(int level) const {
-  std::size_t best = 0;
-  for (const auto& n : nodes_) {
-    if (!n.children().empty() && level_of(n.children().front()) == level) {
-      best = std::max(best, n.children().size());
-    }
-  }
-  return best;
-}
-
 std::vector<NodeId> Tree::bottom_up() const {
   // Creation order guarantees parents precede children, so the reverse of
   // creation order lists children before parents.
@@ -101,16 +83,6 @@ std::vector<NodeId> Tree::bottom_up() const {
 }
 
 std::vector<NodeId> Tree::top_down() const { return all_nodes(); }
-
-std::vector<NodeId> Tree::siblings(NodeId id) const {
-  const Node& n = node(id);
-  std::vector<NodeId> out;
-  if (n.parent() == kNoNode) return out;
-  for (NodeId c : node(n.parent()).children()) {
-    if (c != id) out.push_back(c);
-  }
-  return out;
-}
 
 bool Tree::is_ancestor(NodeId ancestor, NodeId id) const {
   for (NodeId cur = id; cur != kNoNode; cur = node(cur).parent()) {

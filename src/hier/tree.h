@@ -79,12 +79,7 @@ class Node {
 
   /// TP_{l,i}: the budget currently assigned by the parent.
   [[nodiscard]] Watts budget() const { return budget_; }
-  /// TP^old: the budget this node held before its most recent change.
-  [[nodiscard]] Watts previous_budget() const { return previous_budget_; }
-  void set_budget(Watts b) {
-    previous_budget_ = budget_;
-    budget_ = b;
-  }
+  void set_budget(Watts b) { budget_ = b; }
 
   /// CP_{l,i}: smoothed demand (Eq. 4).  For internal nodes this is the
   /// aggregated, smoothed sum of children's reports.
@@ -110,15 +105,6 @@ class Node {
   /// period-1 fixed point under constant input).  Re-feeding the same raw
   /// demand is then a provable no-op.
   [[nodiscard]] bool ewma_settled() const { return settled_; }
-  /// Clear smoothing history (scenario reset).
-  void reset_demand() {
-    raw_demand_ = Watts{0.0};
-    smoothed_.reset();
-    reported_ = Watts{0.0};
-    reported_once_ = false;
-    settled_ = false;
-    pending_ = true;
-  }
 
   /// Hard constraint on this node's budget: min(thermal limit over the next
   /// window, power-circuit rating).  Sec. IV-D "Hard Constraints".
@@ -156,7 +142,6 @@ class Node {
   NodeId parent_;
   int depth_;
   NodeKind kind_;
-  Watts previous_budget_{0.0};
   Watts raw_demand_{0.0};
   std::vector<NodeId> children_;
   std::string name_;
@@ -183,8 +168,6 @@ class Tree {
   [[nodiscard]] std::vector<NodeId> all_nodes() const;
   /// Leaves in creation order.
   [[nodiscard]] std::vector<NodeId> leaves() const;
-  /// Leaves of a given kind.
-  [[nodiscard]] std::vector<NodeId> leaves_of_kind(NodeKind kind) const;
 
   /// Height: number of levels (a root-only tree has height 1).
   [[nodiscard]] int height() const;
@@ -198,17 +181,10 @@ class Tree {
   /// and a level is the depth height - 1 - level.
   [[nodiscard]] const std::vector<NodeId>& nodes_at_level(int level) const;
 
-  /// Maximum branching factor at a given paper-level (over parents whose
-  /// children sit at `level`); used by the complexity analysis (Sec. V-A2).
-  [[nodiscard]] std::size_t max_branching_at_level(int level) const;
-
   /// Ids in bottom-up order (children before parents).
   [[nodiscard]] std::vector<NodeId> bottom_up() const;
   /// Ids in top-down order (parents before children).
   [[nodiscard]] std::vector<NodeId> top_down() const;
-
-  /// Siblings of `id` (children of its parent, excluding `id`).
-  [[nodiscard]] std::vector<NodeId> siblings(NodeId id) const;
 
   /// True if `ancestor` lies on the root path of `id` (or equals it).
   [[nodiscard]] bool is_ancestor(NodeId ancestor, NodeId id) const;

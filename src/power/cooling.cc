@@ -10,7 +10,7 @@ CoolingModel::CoolingModel(CoolingConfig config) : config_(config) {
   if (!(config.cop_at_reference > 0.0) || !(config.min_cop > 0.0)) {
     throw std::invalid_argument("CoolingModel: COPs must be > 0");
   }
-  if (config.fan_floor.value() < 0.0) {
+  if (!(config.fan_floor.value() >= 0.0)) {
     throw std::invalid_argument("CoolingModel: negative fan floor");
   }
 }

@@ -7,7 +7,7 @@ namespace willow::power {
 
 ServerPowerModel::ServerPowerModel(Watts static_power, Watts peak_power)
     : static_power_(static_power), peak_power_(peak_power) {
-  if (static_power.value() < 0.0 || peak_power < static_power) {
+  if (!(static_power.value() >= 0.0) || !(peak_power >= static_power)) {
     throw std::invalid_argument(
         "ServerPowerModel: need 0 <= static_power <= peak_power");
   }

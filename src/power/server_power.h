@@ -28,7 +28,6 @@ class ServerPowerModel {
   ServerPowerModel(Watts static_power, Watts peak_power);
 
   [[nodiscard]] Watts static_power() const { return static_power_; }
-  [[nodiscard]] Watts peak_power() const { return peak_power_; }
   [[nodiscard]] Watts dynamic_range() const {
     return peak_power_ - static_power_;
   }

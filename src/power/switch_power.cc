@@ -8,7 +8,7 @@ namespace willow::power {
 SwitchPowerModel::SwitchPowerModel(Watts static_power,
                                    double watts_per_unit_traffic)
     : static_power_(static_power), watts_per_unit_(watts_per_unit_traffic) {
-  if (static_power.value() < 0.0 || watts_per_unit_traffic < 0.0) {
+  if (!(static_power.value() >= 0.0) || !(watts_per_unit_traffic >= 0.0)) {
     throw std::invalid_argument("SwitchPowerModel: negative parameter");
   }
 }

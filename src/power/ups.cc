@@ -11,11 +11,11 @@ Ups::Ups(Joules capacity, Watts max_discharge, Watts max_charge,
       stored_(Joules{capacity.value() * initial_fraction}),
       max_discharge_(max_discharge),
       max_charge_(max_charge) {
-  if (capacity.value() < 0.0 || max_discharge.value() < 0.0 ||
-      max_charge.value() < 0.0) {
+  if (!(capacity.value() >= 0.0) || !(max_discharge.value() >= 0.0) ||
+      !(max_charge.value() >= 0.0)) {
     throw std::invalid_argument("Ups: negative parameter");
   }
-  if (initial_fraction < 0.0 || initial_fraction > 1.0) {
+  if (!(initial_fraction >= 0.0 && initial_fraction <= 1.0)) {
     throw std::invalid_argument("Ups: initial_fraction must be in [0,1]");
   }
 }

@@ -223,19 +223,13 @@ struct SimResult {
   obs::MetricsSnapshot metrics;
   long ticks = 0;
 
-  /// Keyed per-server lookup by PMU leaf id; nullptr when `node` is not a
-  /// recorded server.  Linear scan — meant for analysis/report code, not hot
-  /// loops (those index `servers` by slot).
-  [[nodiscard]] const ServerMetrics* find_server_metrics(
-      hier::NodeId node) const {
-    for (std::size_t i = 0; i < server_nodes.size(); ++i) {
-      if (server_nodes[i] == node) return &servers[i];
-    }
-    return nullptr;
-  }
-  /// As find_server_metrics, but throws std::out_of_range on a miss.
+  /// Keyed per-server lookup by PMU leaf id; throws std::out_of_range when
+  /// `node` is not a recorded server.  Linear scan — meant for analysis and
+  /// report code, not hot loops (those index `servers` by slot).
   [[nodiscard]] const ServerMetrics& server_metrics(hier::NodeId node) const {
-    if (const ServerMetrics* m = find_server_metrics(node)) return *m;
+    for (std::size_t i = 0; i < server_nodes.size(); ++i) {
+      if (server_nodes[i] == node) return servers[i];
+    }
     throw std::out_of_range("SimResult: no metrics for node " +
                             std::to_string(node));
   }

@@ -143,7 +143,7 @@ RunResult Testbed::run(const power::SupplyProfile& supply, long ticks,
 
   for (long tick = 0; tick < ticks; ++tick) {
     const double t = static_cast<double>(tick);
-    cluster_->refresh_demands_constant();
+    cluster_->refresh_demands_deterministic(1.0, nullptr);
     // Measurement noise on reported demand (the control plane reads scripts
     // polling ESX utilization counters).
     for (NodeId s : servers_) {

@@ -25,14 +25,14 @@ Application::Application(AppId id, std::size_t class_index, Watts mean_power,
   if (id == kInvalidApp) {
     throw std::invalid_argument("Application: id must be nonzero");
   }
-  if (mean_power.value() < 0.0) {
+  if (!(mean_power.value() >= 0.0)) {
     throw std::invalid_argument("Application: mean_power must be >= 0");
   }
   demand_ = mean_power;
 }
 
 void Application::set_service_level(double level) {
-  if (level < 0.0 || level > 1.0) {
+  if (!(level >= 0.0 && level <= 1.0)) {
     throw std::invalid_argument(
         "Application::set_service_level: level must be in [0,1]");
   }

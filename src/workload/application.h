@@ -67,12 +67,6 @@ class Application {
   [[nodiscard]] Watts demand() const { return demand_; }
   void set_demand(Watts d) { demand_ = d; }
 
-  /// Time (simulation clock) of the last migration that moved this app;
-  /// used to verify decision stability (Property 4) and to pin freshly
-  /// migrated demand.
-  [[nodiscard]] double last_migrated_at() const { return last_migrated_at_; }
-  void set_last_migrated_at(double t) { last_migrated_at_ = t; }
-
   /// Dropped applications are shut down to fit the budget (Sec. IV-E: "the
   /// excess demand is simply dropped").
   [[nodiscard]] bool dropped() const { return dropped_; }
@@ -103,7 +97,6 @@ class Application {
   Watts mean_power_;
   Megabytes image_size_;
   Watts demand_{0.0};
-  double last_migrated_at_ = -1.0;
   bool dropped_ = false;
   Priority priority_ = kHighestPriority;
   double service_level_ = 1.0;

@@ -24,9 +24,8 @@ class PoissonDemand {
   [[nodiscard]] Watts quantum() const { return quantum_; }
 
   /// One draw for an application with the given mean power.  Generic over
-  /// the generator so the tick engine's per-server counter-based streams
-  /// (util::StreamRng) drive the same sampling code as the sequential
-  /// scenario generator (util::Rng).
+  /// the generator: the tick engine passes its per-server counter-based
+  /// streams (util::StreamRng), the unit tests a sequential util::Rng.
   template <typename RngT>
   [[nodiscard]] Watts sample(Watts mean, RngT& rng) const {
     if (mean.value() <= 0.0) return Watts{0.0};
@@ -58,8 +57,10 @@ class PoissonDemand {
   Watts quantum_;
 };
 
-/// Deterministic demand (always the mean); useful in unit tests and in the
-/// convergence/stability analyses where randomness is controlled separately.
+/// Deterministic demand (always the intensity-scaled mean): the per-app
+/// kernel of Cluster::refresh_demands_deterministic, which the tick engine
+/// runs when the scenario's demand quantum is 0 and which the testbed,
+/// examples and controller tests call to hold demand at the mean.
 class ConstantDemand {
  public:
   /// `intensity` scales the mean exactly as PoissonDemand::refresh does, so

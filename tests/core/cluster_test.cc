@@ -221,7 +221,7 @@ TEST(Cluster, RefreshDemandsConstantRestoresMeans) {
   Fixture f;
   f.cluster.place(f.app(1, 50.0), f.sa);
   f.cluster.find_app(1)->set_demand(10_W);
-  f.cluster.refresh_demands_constant();
+  f.cluster.refresh_demands_deterministic(1.0, nullptr);
   EXPECT_DOUBLE_EQ(f.cluster.find_app(1)->demand().value(), 50.0);
 }
 

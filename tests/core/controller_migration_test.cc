@@ -256,7 +256,7 @@ TEST(DemandAdaptation, RevivalAfterSupplyReturns) {
   ASSERT_GT(ctl.stats().drops, 0u);
   // Supply returns; dropped apps revive (budget increase, no reduced path).
   for (int t = 0; t < 8; ++t) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     ctl.tick(Watts{1200.0});
   }
   EXPECT_GT(ctl.stats().revivals, 0u);

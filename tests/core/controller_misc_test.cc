@@ -200,12 +200,12 @@ TEST(Revival, BlockedWhileAncestorReduced) {
   // flags from tick 1... tick 1 set budgets from 0 -> not reduced.  Force a
   // reducing event and verify revival stays blocked while flags stand even
   // though headroom exists.
-  f.cluster.refresh_demands_constant();
+  f.cluster.refresh_demands_deterministic(1.0, nullptr);
   ctl.tick(Watts{195.0});  // tick 2: no ΔS; flags as before
   ctl.force_supply_adaptation(Watts{190.0});  // everything reduced
   ASSERT_TRUE(ctl.budget_reduced(f.root));
   const auto revivals_before = ctl.stats().revivals;
-  f.cluster.refresh_demands_constant();
+  f.cluster.refresh_demands_deterministic(1.0, nullptr);
   ctl.tick(Watts{190.0});  // tick 3: no ΔS; reduced flags persist
   EXPECT_EQ(ctl.stats().revivals, revivals_before);
 }
@@ -221,7 +221,7 @@ TEST(Revival, ProceedsOnceFlagsClear) {
   ctl.tick(Watts{100.0});
   ASSERT_TRUE(f.cluster.find_app(victim)->dropped());
   for (int t = 0; t < 8; ++t) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     ctl.tick(Watts{500.0});
   }
   EXPECT_FALSE(f.cluster.find_app(victim)->dropped());
@@ -262,7 +262,7 @@ TEST(Wake, SkippedWhenNoHeadroom) {
   // appear but waking adds no supply.
   const auto wakes_before = ctl.stats().wakes;
   for (int t = 0; t < 8; ++t) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     ctl.tick(Watts{120.0});
   }
   EXPECT_EQ(ctl.stats().wakes, wakes_before);
@@ -351,7 +351,7 @@ TEST(PackInstruments, RegisteredOnFirstPackOfEachAttachedBus) {
   // Starved from the next supply pass (tick 4) on: deficits are planned
   // through packing.
   for (int t = 2; t <= 4; ++t) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     ctl.tick(Watts{120.0});
   }
   const auto m1 = first.metrics().snapshot();
@@ -364,7 +364,7 @@ TEST(PackInstruments, RegisteredOnFirstPackOfEachAttachedBus) {
   // A newly attached bus gets its own instruments; the old one stops moving.
   obs::EventBus second;
   ctl.set_event_bus(&second);
-  f.cluster.refresh_demands_constant();
+  f.cluster.refresh_demands_deterministic(1.0, nullptr);
   ctl.tick(Watts{120.0});
   EXPECT_GT(second.metrics().snapshot().counter_or_zero("controller.pack_calls"),
             0u);

@@ -115,7 +115,7 @@ TEST_P(ControllerRandom, InvariantsHoldUnderPoissonLoadAndSupplyWalk) {
   for (int t = 0; t < 120; ++t) {
     // Random walk on supply with occasional plunges/recoveries.
     if (rng.chance(0.1)) supply = plant.capacity() * rng.uniform(0.4, 1.1);
-    plant.cluster.refresh_demands(demand, rng);
+    plant.cluster.refresh_demands(demand, GetParam(), t, 1.0, nullptr);
     ctl.tick(Watts{supply});
     plant.cluster.step_thermal(1_s);
     check_invariants(plant.cluster, plant.all_apps);
@@ -139,7 +139,7 @@ TEST_P(ControllerRandom, Property4NoPingPongUnderBoundedFluctuation) {
   const long delta_f = 3;
   long violations = 0;
   for (int t = 0; t < 100; ++t) {
-    plant.cluster.refresh_demands(demand, rng);
+    plant.cluster.refresh_demands(demand, GetParam() + 500, t, 1.0, nullptr);
     // Constant supply after a plunge at t=10 (one tightening event).
     const double frac = t < 10 ? 1.0 : 0.75;
     ctl.tick(Watts{plant.capacity() * frac});
@@ -164,7 +164,7 @@ TEST_P(ControllerRandom, DroppedDemandAccountingIsConsistent) {
   cfg.utilization_reference = UtilizationReference::kThermalSustainable;
   Controller ctl(plant.cluster, cfg);
   for (int t = 0; t < 40; ++t) {
-    plant.cluster.refresh_demands_constant();
+    plant.cluster.refresh_demands_deterministic(1.0, nullptr);
     // Persistent deep deficiency: barely above the idle floors.
     ctl.tick(Watts{11.0 * static_cast<double>(plant.servers.size())});
     plant.cluster.step_thermal(1_s);

@@ -160,7 +160,7 @@ TEST(Restoration, ServiceLevelsRestoredUnderSurplus) {
   ASSERT_TRUE(f.cluster.find_app(id)->degraded());
   // Supply returns; service restored at the next supply periods.
   for (int t = 0; t < 8; ++t) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     ctl.tick(400_W);
   }
   EXPECT_FALSE(f.cluster.find_app(id)->degraded());
@@ -183,7 +183,7 @@ TEST(Restoration, HighPriorityRevivedFirst) {
   // Give back enough for one 60 W app on s00 (100 W budget - 10 idle -
   // 5 margin = 85 W headroom), not two.
   for (int t = 0; t < 8; ++t) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     ctl.tick(200_W);
   }
   EXPECT_FALSE(f.cluster.find_app(critical)->dropped());

@@ -147,7 +147,7 @@ TEST(DirectiveRetry, AllLossesAbandonAfterBoundedAttempts) {
 
   for (long t = 1; t <= 30; ++t) {
     faults.set_tick(t);
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     ctl.tick(Watts{300.0 + 10.0 * static_cast<double>(t)});
   }
   const auto m = f.bus.metrics().snapshot();
@@ -173,7 +173,7 @@ TEST(DirectiveRetry, LossyLinkEventuallyDelivers) {
 
   for (long t = 1; t <= 40; ++t) {
     faults.set_tick(t);
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     ctl.tick(Watts{300.0 + 10.0 * static_cast<double>(t)});
   }
   const auto m = f.bus.metrics().snapshot();
@@ -205,7 +205,7 @@ TEST(CrashRecovery, ApplicationsSurviveAndBudgetsReturn) {
   EXPECT_DOUBLE_EQ(srv.power_demand().value(), 0.0);
 
   for (long t = 0; t < 4; ++t) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     ctl.tick(Watts{2000.0});
   }
 
@@ -215,7 +215,7 @@ TEST(CrashRecovery, ApplicationsSurviveAndBudgetsReturn) {
   EXPECT_TRUE(f.cluster.tree().node(f.s00).active());
   EXPECT_EQ(f.cluster.host_of(app), f.s00);
   for (long t = 0; t < 8; ++t) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     ctl.tick(Watts{2000.0});
   }
   // The restored server reports demand again and regains a budget.

@@ -99,7 +99,7 @@ TEST(EventLog, DropAndReviveRecorded) {
   t.tick(100_W);  // starve: drops
   EXPECT_GT(t.count(obs::EventType::kDrop), 0u);
   for (int i = 0; i < 8; ++i) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     t.tick(400_W);
     if (t.count(obs::EventType::kRevive) > 0) break;
   }
@@ -117,7 +117,7 @@ TEST(EventLog, DegradeAndRestoreRecorded) {
   EXPECT_GT(t.count(obs::EventType::kDegrade), 0u);
   std::size_t restores = 0;
   for (int i = 0; i < 8; ++i) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     t.tick(400_W);
     restores += t.count(obs::EventType::kRestore);
   }
@@ -148,7 +148,7 @@ TEST(EventLog, CompletedEventInLatencyMode) {
   ASSERT_EQ(t.count(obs::EventType::kMigration), 1u);
   std::size_t completed = 0;
   for (int i = 0; i < 3; ++i) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     t.tick(200_W);
     completed += t.count(obs::EventType::kMigrationLanded);
   }

@@ -76,12 +76,12 @@ TEST(MigrationLatency, TransferTakesImageProportionalTime) {
   // The app is still hosted (and drawing) at the source while in transit.
   EXPECT_EQ(f.cluster.host_of(moving), f.s00);
   for (int t = 0; t < 3; ++t) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     ctl.tick(200_W);
     EXPECT_EQ(f.cluster.host_of(moving), f.s00) << "tick " << ctl.tick_count();
   }
   // Initiated at tick 1, 4 periods: lands when tick 5 begins.
-  f.cluster.refresh_demands_constant();
+  f.cluster.refresh_demands_deterministic(1.0, nullptr);
   ctl.tick(200_W);
   EXPECT_EQ(f.cluster.host_of(moving), f.s01);
   EXPECT_EQ(ctl.migrations_in_flight(), 0u);
@@ -97,7 +97,7 @@ TEST(MigrationLatency, NoReplanningWhileInFlight) {
   // The deficit persists at the source while the transfer runs, but the
   // controller must not pile on more migrations for the same load.
   for (int t = 0; t < 3; ++t) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     ctl.tick(200_W);
   }
   EXPECT_EQ(ctl.stats().total_migrations(), 1u);
@@ -116,7 +116,7 @@ TEST(MigrationLatency, ReservationBlocksDoubleBooking) {
   // 150 W per server: each loaded server has a 40 W deficit; s02's usable
   // capacity (140 - margin) fits one 92 W item plus change, not two 92s.
   for (int t = 0; t < 8; ++t) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     ctl.tick(Watts{450.0});
   }
   // Never over-committed: s02's hosted + reserved demand stays within its
@@ -134,7 +134,7 @@ TEST(MigrationLatency, StatsCountInitiationsOnce) {
   f.host(f.s00, 50.0, 1024.0);
   Controller ctl(f.cluster, f.config(1.0));
   for (int t = 0; t < 6; ++t) {
-    f.cluster.refresh_demands_constant();
+    f.cluster.refresh_demands_deterministic(1.0, nullptr);
     ctl.tick(200_W);
   }
   EXPECT_EQ(ctl.stats().total_migrations(), 1u);

@@ -158,18 +158,35 @@ struct Recorder {
 };
 
 TEST(FaultPlane, ScheduledCrashAndRestart) {
+  // Scheduled crashes and nothing else: the plane samples nothing, so no
+  // sensor episode can start or end, and each restart lands exactly
+  // down_ticks after its crash.
   FaultConfig cfg;
   cfg.crash_events.push_back({3, 1, 2, 2});
   FaultPlane plane(cfg, 42, 4);
+  EXPECT_FALSE(plane.needs_sampling());
   Recorder rec;
-  const auto cb = rec.callbacks();
-  for (long tick = 0; tick <= 6; ++tick) plane.step(tick, nullptr, cb);
+  auto cb = rec.callbacks();
+  long now = 0;
+  std::vector<long> restart_ticks;
+  const auto log_restart = cb.restart;
+  cb.restart = [&](std::size_t i) {
+    restart_ticks.push_back(now);
+    log_restart(i);
+  };
+  int sensor_calls = 0;
+  cb.sensor = [&](std::size_t, const SensorOverride&, bool) {
+    ++sensor_calls;
+  };
+  for (now = 0; now <= 6; ++now) plane.step(now, nullptr, cb);
   EXPECT_EQ(rec.log, (std::vector<std::string>{
                          "crash 1 for 2",
                          "crash 2 for 2",
                          "restart 1",
                          "restart 2",
                      }));
+  EXPECT_EQ(restart_ticks, (std::vector<long>{3 + 2, 3 + 2}));
+  EXPECT_EQ(sensor_calls, 0);
   EXPECT_FALSE(plane.down(1));
   EXPECT_FALSE(plane.down(2));
 }

@@ -52,8 +52,6 @@ TEST(Tree, StructureQueries) {
   EXPECT_EQ(f.tree.node(f.s00).parent(), f.rack0);
   EXPECT_EQ(f.tree.node(f.rack0).children().size(), 2u);
   EXPECT_EQ(f.tree.leaves().size(), 4u);
-  EXPECT_EQ(f.tree.leaves_of_kind(NodeKind::kServer).size(), 4u);
-  EXPECT_EQ(f.tree.leaves_of_kind(NodeKind::kSwitch).size(), 0u);
 }
 
 TEST(Tree, PaperLevelNumbering) {
@@ -112,12 +110,6 @@ TEST(Tree, NodesAtLevelFollowAddChild) {
   expect_matches_scan(f.tree);
 }
 
-TEST(Tree, MaxBranchingAtLevel) {
-  SmallTree f;
-  EXPECT_EQ(f.tree.max_branching_at_level(0), 2u);  // racks fan out to servers
-  EXPECT_EQ(f.tree.max_branching_at_level(1), 2u);  // root fans out to racks
-}
-
 TEST(Tree, BottomUpVisitsChildrenBeforeParents) {
   SmallTree f;
   const auto order = f.tree.bottom_up();
@@ -144,14 +136,6 @@ TEST(Tree, TopDownVisitsParentsBeforeChildren) {
   }
 }
 
-TEST(Tree, Siblings) {
-  SmallTree f;
-  const auto sibs = f.tree.siblings(f.s00);
-  ASSERT_EQ(sibs.size(), 1u);
-  EXPECT_EQ(sibs[0], f.s01);
-  EXPECT_TRUE(f.tree.siblings(f.root).empty());
-}
-
 TEST(Tree, IsAncestor) {
   SmallTree f;
   EXPECT_TRUE(f.tree.is_ancestor(f.root, f.s00));
@@ -159,15 +143,6 @@ TEST(Tree, IsAncestor) {
   EXPECT_TRUE(f.tree.is_ancestor(f.s00, f.s00));
   EXPECT_FALSE(f.tree.is_ancestor(f.rack1, f.s00));
   EXPECT_FALSE(f.tree.is_ancestor(f.s00, f.rack0));
-}
-
-TEST(Node, BudgetTracksPrevious) {
-  SmallTree f;
-  auto& n = f.tree.node(f.s00);
-  n.set_budget(100_W);
-  n.set_budget(80_W);
-  EXPECT_DOUBLE_EQ(n.budget().value(), 80.0);
-  EXPECT_DOUBLE_EQ(n.previous_budget().value(), 100.0);
 }
 
 TEST(Node, DemandSmoothingFollowsEq4) {
@@ -178,9 +153,6 @@ TEST(Node, DemandSmoothingFollowsEq4) {
   n.observe_demand(200_W);
   EXPECT_DOUBLE_EQ(n.smoothed_demand().value(), 0.5 * 200 + 0.5 * 100);
   EXPECT_DOUBLE_EQ(n.raw_demand().value(), 200.0);
-  n.reset_demand();
-  n.observe_demand(40_W);
-  EXPECT_DOUBLE_EQ(n.smoothed_demand().value(), 40.0);
 }
 
 TEST(Tree, ReportDemandsAggregatesUpward) {

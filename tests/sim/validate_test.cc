@@ -11,7 +11,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/cluster.h"
+#include "power/cooling.h"
+#include "power/server_power.h"
 #include "power/supply.h"
+#include "power/switch_power.h"
+#include "power/ups.h"
+#include "workload/application.h"
 #include "sim/scenario_io.h"
 #include "sim/simulation.h"
 
@@ -115,6 +121,45 @@ TEST(SimConfigValidate, NanFieldsAreNamed) {
     set(cfg);
     EXPECT_TRUE(mentions(cfg.validate(), field)) << field << " = nan accepted";
   }
+}
+
+TEST(LibraryArgumentChecks, NanIsRejected) {
+  // The same rule for the library's own constructors and setters: a NaN
+  // argument is rejected like a negative one.
+  using util::Joules;
+  using util::Watts;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(workload::Application(1, 0, Watts{nan}, 512_MB),
+               std::invalid_argument);
+  workload::Application app(1, 0, 10_W, 512_MB);
+  EXPECT_THROW(app.set_service_level(nan), std::invalid_argument);
+  EXPECT_THROW(power::ServerPowerModel(Watts{nan}, 200_W),
+               std::invalid_argument);
+  EXPECT_THROW(power::ServerPowerModel(100_W, Watts{nan}),
+               std::invalid_argument);
+  EXPECT_THROW(power::SwitchPowerModel(Watts{nan}, 40.0),
+               std::invalid_argument);
+  EXPECT_THROW(power::SwitchPowerModel(5_W, nan), std::invalid_argument);
+  EXPECT_THROW(power::Ups(Joules{nan}, 10_W, 10_W, 0.5),
+               std::invalid_argument);
+  EXPECT_THROW(power::Ups(Joules{100.0}, Watts{nan}, 10_W, 0.5),
+               std::invalid_argument);
+  EXPECT_THROW(power::Ups(Joules{100.0}, 10_W, Watts{nan}, 0.5),
+               std::invalid_argument);
+  EXPECT_THROW(power::Ups(Joules{100.0}, 10_W, 10_W, nan),
+               std::invalid_argument);
+  power::CoolingConfig cooling;
+  cooling.fan_floor = Watts{nan};
+  EXPECT_THROW(power::CoolingModel{cooling}, std::invalid_argument);
+
+  core::Cluster cluster;
+  const auto root = cluster.add_root("dc");
+  const auto rack = cluster.add_group(root, "rack");
+  const auto server = cluster.add_server(rack, "s", core::ServerConfig{});
+  EXPECT_THROW(cluster.set_group_circuit_limit(rack, Watts{nan}),
+               std::invalid_argument);
+  EXPECT_THROW(cluster.add_temporary_demand(server, Watts{nan}, 1),
+               std::invalid_argument);
 }
 
 TEST(ControllerConfigValidate, NanAndNegativeFieldsAreNamed) {

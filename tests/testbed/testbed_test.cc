@@ -208,14 +208,16 @@ TEST(EnergyDeficientRun, ResultsArePinned) {
   Testbed tb;
   tb.load_utilizations(0.8, 0.6, 0.3);
   const auto result = tb.run(*power::paper_fig15_trace(), 30);
-  EXPECT_EQ(fingerprint(result), 0xfd37fd0c759bcb86ull) << std::hex << fingerprint(result);
+  EXPECT_EQ(fingerprint(result), 0xfd37fd0c759bcb86ull)
+      << std::hex << fingerprint(result);
 }
 
 TEST(EnergyPlentyRun, ResultsArePinned) {
   Testbed tb;
   tb.load_utilizations(0.8, 0.4, 0.2);
   const auto result = tb.run(*power::paper_fig19_trace(), 30);
-  EXPECT_EQ(fingerprint(result), 0xb68762e4750f12d9ull) << std::hex << fingerprint(result);
+  EXPECT_EQ(fingerprint(result), 0xb68762e4750f12d9ull)
+      << std::hex << fingerprint(result);
 }
 
 TEST(Run, PowerNoiseReachesConsumedPower) {

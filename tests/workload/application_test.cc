@@ -49,14 +49,11 @@ TEST(Application, DemandIsMutable) {
   EXPECT_DOUBLE_EQ(a.demand().value(), 62.0);
 }
 
-TEST(Application, DropFlagAndMigrationStamp) {
+TEST(Application, DropFlag) {
   Application a(1, 0, 50_W, 512_MB);
   EXPECT_FALSE(a.dropped());
   a.set_dropped(true);
   EXPECT_TRUE(a.dropped());
-  EXPECT_DOUBLE_EQ(a.last_migrated_at(), -1.0);
-  a.set_last_migrated_at(17.0);
-  EXPECT_DOUBLE_EQ(a.last_migrated_at(), 17.0);
 }
 
 TEST(AppIdAllocator, MonotonicAndNonZero) {
