@@ -101,7 +101,7 @@ ExactResult exact_pack(const std::vector<Item>& items,
     throw std::invalid_argument("exact_pack: instance too large");
   }
   for (const auto& it : items) {
-    if (it.size < 0.0) throw std::invalid_argument("exact_pack: negative size");
+    if (!(it.size >= 0.0)) throw std::invalid_argument("exact_pack: negative size");
   }
   Search s(items, bins);
   s.dfs(0, 0.0);

@@ -77,7 +77,7 @@ void allocate_proportional(Watts total, const std::vector<Watts>& demands,
     throw std::invalid_argument(
         "allocate_proportional: demands/caps size mismatch");
   }
-  if (total.value() < 0.0) {
+  if (!(total.value() >= 0.0)) {
     throw std::invalid_argument("allocate_proportional: negative total");
   }
   const std::size_t n = demands.size();

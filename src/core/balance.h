@@ -35,9 +35,9 @@ using util::Watts;
 
 /// Eq. (5)/(6) evaluated on the node's *reported* demand — what the node last
 /// sent to its parent — instead of its instantaneous smoothed demand.  The
-/// controller acts on these so that demand movement inside the report
-/// dead-band cannot trigger any re-budgeting or migration; with a dead-band
-/// of 0 they are bitwise identical to node_deficit / node_surplus.
+/// controller acts on these so that demand movement the parent has not heard
+/// of (a report lost or deferred on its link) cannot trigger any re-budgeting
+/// or migration.
 [[nodiscard]] inline Watts reported_deficit(const hier::Node& node) {
   return util::positive_part(node.reported_demand() - node.budget());
 }

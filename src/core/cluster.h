@@ -369,7 +369,10 @@ class Cluster {
   ///    with its PMU leaf and the power the step charged, so the hook does not
   ///    look either up again.
   /// A hook must follow the sharded-phase rules: touch only server i's state
-  /// or slot i of pre-sized vectors, and emit nothing on the bus.
+  /// or slot i of pre-sized vectors, and emit nothing on the bus.  A refresh
+  /// hook must also never move power_demand() (nor sleep or crash the
+  /// server): the kDemandReport events that follow the batch read the state
+  /// the refresh left.  No caller's hook does.
   ///
   /// PerServerHook is the type-erased form, kept for callers outside the
   /// tick engine: the `const PerServerHook*` overloads wrap the typed sweeps.
@@ -472,8 +475,8 @@ class Cluster {
   [[nodiscard]] std::size_t active_server_count() const;
 
   /// Attach an observability bus (not owned; may be null); also attached to
-  /// the PMU tree.  The streamed refresh_demands deposits one kDemandReport
-  /// per server through the bus's per-shard staging, so the merged stream is
+  /// the PMU tree.  The streamed refresh_demands emits one kDemandReport per
+  /// running server after its batch, in slot order, so the stream is
   /// bit-identical for any thread count.
   void set_event_bus(obs::EventBus* bus) {
     bus_ = bus;
@@ -485,34 +488,30 @@ class Cluster {
   [[nodiscard]] std::uint32_t checked_slot_of(NodeId id) const;
 
   /// The body both streamed refreshes share: for each server, call
-  /// refresh_apps(i, apps), deposit the demand cache, emit the server's
-  /// kDemandReport into its shard slot, then run `per_server`.
+  /// refresh_apps(i, apps), deposit the demand cache, then run `per_server`.
+  /// With the bus enabled, one kDemandReport per running server follows the
+  /// batch, emitted serially in slot order; this reports the demand the
+  /// batch left because no per-server hook moves power_demand().
   template <typename RefreshApps, typename Hook>
   void refresh_sharded(const RefreshApps& refresh_apps, util::ThreadPool* pool,
                        const Hook& per_server) {
-    // The one tick phase that emits from inside a sharded region: each
-    // server's fresh demand becomes a kDemandReport deposited into the
-    // per-server shard slot; end_shards() merges them in server order so the
-    // trace is identical no matter how the range was partitioned.
-    const bool observe = bus_ != nullptr && bus_->enabled();
-    if (observe) bus_->begin_shards(servers_.size());
     const auto body = [&](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
-        auto& s = servers_[i];
-        refresh_apps(i, s.apps());
+        refresh_apps(i, servers_[i].apps());
         deposit_app_demand(i);
-        if (observe && !s.asleep() && !s.crashed()) {
-          obs::Event e;
-          e.type = obs::EventType::kDemandReport;
-          e.node = s.node();
-          e.value = s.power_demand().value();
-          bus_->emit_shard(i, std::move(e));
-        }
         per_server(i);
       }
     };
     util::parallel_for_ranges(pool, servers_.size(), std::cref(body));
-    if (observe) bus_->end_shards();
+    if (bus_ == nullptr || !bus_->enabled()) return;
+    for (const auto& s : servers_) {
+      if (s.asleep() || s.crashed()) continue;
+      obs::Event e;
+      e.type = obs::EventType::kDemandReport;
+      e.node = s.node();
+      e.value = s.power_demand().value();
+      bus_->emit(std::move(e));
+    }
   }
 
   /// Cache server i's freshly summed app demand, recording the slot when

@@ -70,17 +70,6 @@ void ControllerConfig::validate() const {
     throw std::invalid_argument(
         "ControllerConfig: target_fill_fraction must be in (0,1]");
   }
-  if (!(report_deadband.value() >= 0.0)) {
-    throw std::invalid_argument(
-        "ControllerConfig: report_deadband must be >= 0");
-  }
-  if (report_deadband.value() > 0.0 &&
-      report_deadband.value() >= margin.value()) {
-    // Property 4 only holds if demand movement too small to be reported is
-    // also too small to warrant a migration; see stability.cc.
-    throw std::invalid_argument(
-        "ControllerConfig: report_deadband must stay below margin");
-  }
   if (stale_timeout_ticks < 0) {
     throw std::invalid_argument(
         "ControllerConfig: stale_timeout_ticks must be >= 0");
@@ -102,7 +91,6 @@ Controller::Controller(Cluster& cluster, ControllerConfig config)
   // whole control plane runs one mode.
   auto& tree = cluster_.tree();
   tree.set_incremental(config_.incremental);
-  tree.set_report_deadband(config_.report_deadband);
   tree.set_shadow_diff(config_.shadow_diff);
   build_topology();
 }
@@ -908,13 +896,7 @@ void Controller::apply_migration(const PlanItem& item, NodeId target) {
   rec.tick = tick_;
   rec.local = tree.node(item.source).parent() == tree.node(target).parent();
   migrations_this_tick_.push_back(rec);
-  const obs::Reason reason =
-      item.reason != obs::Reason::kNone
-          ? item.reason
-          : (item.cause == MigrationCause::kDemand
-                 ? obs::Reason::kSupplyDeficit
-                 : obs::Reason::kConsolidation);
-  emit(obs::EventType::kMigration, item.source, target, item.app, reason,
+  emit(obs::EventType::kMigration, item.source, target, item.app, item.reason,
        item.demand.value(), rec.local ? 1.0 : 0.0);
 
   if (item.cause == MigrationCause::kDemand) {
@@ -1318,20 +1300,17 @@ void Controller::judge_consol_candidates() {
       }
     }
   }
-  // The kEps-banded envelope comparison is not a strict weak order, so the
-  // result depends on the input order as well as the comparator: the list
-  // is always built in ascending server index and sorted stably.
-  std::stable_sort(consol_order_.begin(), consol_order_.end(),
-                   [&](const ConsolCandidate& a, const ConsolCandidate& b) {
-                     if (thermal_ref &&
-                         std::abs(a.envelope - b.envelope) > kEps) {
-                       return a.envelope < b.envelope;  // hottest first
-                     }
-                     if (a.utilization != b.utilization) {
-                       return a.utilization < b.utilization;
-                     }
-                     return a.server < b.server;  // explicit tie-break
-                   });
+  // The server index breaks every tie, so the order is total.
+  std::sort(consol_order_.begin(), consol_order_.end(),
+            [&](const ConsolCandidate& a, const ConsolCandidate& b) {
+              if (thermal_ref && a.envelope != b.envelope) {
+                return a.envelope < b.envelope;  // hottest first
+              }
+              if (a.utilization != b.utilization) {
+                return a.utilization < b.utilization;
+              }
+              return a.server < b.server;
+            });
 }
 
 bool Controller::drain_blocked(std::uint32_t server_index) const {

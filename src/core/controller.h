@@ -143,12 +143,6 @@ struct ControllerConfig {
   /// asserts that.  Disable to benchmark the full walk or to rule the
   /// machinery out while debugging.
   bool incremental = true;
-  /// Dead-band (W) on demand reports: a node re-reports to its parent only
-  /// when its smoothed demand moved more than this since its last report.
-  /// 0 = exact (a report on every bitwise change).  Must stay below `margin`:
-  /// the controller acts on reported values, so movement inside the dead-band
-  /// must also be too small to trigger migrations (Property 4).
-  Watts report_deadband{0.0};
   /// Debug shadow mode: every skip the incremental path takes is re-derived
   /// from scratch; any bitwise divergence throws std::logic_error.
   bool shadow_diff = false;

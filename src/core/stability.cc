@@ -57,9 +57,6 @@ StabilityAssessment assess_stability(const hier::Tree& tree,
 
   a.margin_headroom = config.margin - demand_fluctuation;
   a.margin_ok = a.margin_headroom.value() > 0.0;
-
-  a.deadband_ok = config.report_deadband.value() >= 0.0 &&
-                  config.report_deadband.value() < config.margin.value();
   return a;
 }
 

@@ -45,12 +45,6 @@ struct StabilityAssessment {
   bool estimator_ok = false;
   /// Property 4: the margin exceeds the expected demand fluctuation.
   bool margin_ok = false;
-  /// Report dead-band vs margin: demand movement a node absorbs without
-  /// re-reporting must also be too small to warrant any migration, i.e.
-  /// report_deadband < P_min.  A dead-band at or above the margin lets
-  /// sub-report jitter accumulate into actionable (but unseen) deficits,
-  /// breaking the Property 4 argument.  Trivially satisfied at dead-band 0.
-  bool deadband_ok = false;
 
   util::Seconds delta;                ///< measured h * alpha bound
   util::Seconds recommended_period;   ///< 10x delta
@@ -58,7 +52,7 @@ struct StabilityAssessment {
   util::Watts margin_headroom{0.0};   ///< margin - fluctuation
 
   [[nodiscard]] bool stable() const {
-    return convergence_ok && estimator_ok && margin_ok && deadband_ok;
+    return convergence_ok && estimator_ok && margin_ok;
   }
 };
 

@@ -6,7 +6,7 @@ namespace {
 
 void check_probability(std::vector<std::string>& out, const std::string& field,
                        double p) {
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {
     out.push_back(field + ": probability must be in [0, 1]");
   }
 }
@@ -41,7 +41,7 @@ std::vector<std::string> FaultConfig::validate(
   check_sensor(out, prefix + "power_sensor", power_sensor);
   check_sensor(out, prefix + "temp_sensor", temp_sensor);
   check_probability(out, prefix + "crash_probability", crash_probability);
-  if (sensor_fault_mean_ticks < 1.0) {
+  if (!(sensor_fault_mean_ticks >= 1.0)) {
     out.push_back(prefix +
                   "sensor_fault_mean_ticks: mean episode must be >= 1 tick");
   }

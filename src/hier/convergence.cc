@@ -8,7 +8,7 @@ namespace willow::hier {
 ConvergenceReport analyze_convergence(const Tree& tree,
                                       Seconds per_level_latency,
                                       double safety_factor) {
-  if (per_level_latency.value() < 0.0 || safety_factor < 1.0) {
+  if (!(per_level_latency.value() >= 0.0) || !(safety_factor >= 1.0)) {
     throw std::invalid_argument("analyze_convergence: bad parameters");
   }
   ConvergenceReport r;

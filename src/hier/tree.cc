@@ -161,8 +161,7 @@ void Tree::shadow_check_skipped(const Node& n) const {
   if (ok && !n.is_root()) {
     const double moved =
         std::abs(n.smoothed_demand().value() - n.reported_.value());
-    ok = n.reported_once_ &&
-         (deadband_.value() > 0.0 ? moved <= deadband_.value() : moved == 0.0);
+    ok = n.reported_once_ && moved == 0.0;
   }
   if (!ok) {
     throw std::logic_error(
@@ -197,14 +196,11 @@ void Tree::report_demands() {
     }
     n.pending_ = false;
     if (n.is_root()) continue;
-    // Event-driven report: only when the smoothed demand moved beyond the
-    // dead-band since the last report (first sweep always reports).
+    // Event-driven report: only when the smoothed demand moved since the
+    // last report (first sweep always reports).
     const Watts smoothed = n.smoothed_demand();
     const double moved = std::abs(smoothed.value() - n.reported_.value());
-    const bool changed =
-        !n.reported_once_ ||
-        (deadband_.value() > 0.0 ? moved > deadband_.value() : moved != 0.0);
-    if (!changed) continue;
+    if (n.reported_once_ && moved == 0.0) continue;
     fault::UpVerdict fate{};
     if (link_faults_ != nullptr) fate = link_faults_->up(id);
     if (fate.lose || fate.defer) {

@@ -11,12 +11,11 @@
 //
 // Control messaging is event-driven, matching the paper's Property 3
 // argument that the hierarchy localizes change: a node sends a demand report
-// up only when its smoothed demand moved (beyond an optional dead-band)
-// since its last report, and the budget distributor sends a directive down
-// only when a budget actually changed.  The tree counts messages per link so
-// Property 3 ("at most 2 messages per link per Delta_D") is checkable, and
-// models per-level update latency for the delta-convergence analysis of
-// Section V-A1.
+// up only when its smoothed demand moved since its last report, and the
+// budget distributor sends a directive down only when a budget actually
+// changed.  The tree counts messages per link so Property 3 ("at most 2
+// messages per link per Delta_D") is checkable, and models per-level update
+// latency for the delta-convergence analysis of Section V-A1.
 //
 // The report sweep has two walk policies with identical outputs:
 //   full        every node re-aggregates every sweep (EWMA updates included);
@@ -87,8 +86,9 @@ class Node {
   /// Latest raw (unsmoothed) demand report.
   [[nodiscard]] Watts raw_demand() const { return raw_demand_; }
   /// The demand this node last sent to its parent (what the parent's
-  /// aggregation sums).  Equals smoothed_demand() bitwise whenever the
-  /// report dead-band is 0.
+  /// aggregation sums).  After a report sweep it equals smoothed_demand()
+  /// bitwise, except at the root (which reports to no one) and while the
+  /// node's report is lost or deferred on its link.
   [[nodiscard]] Watts reported_demand() const { return reported_; }
   /// Feed a new raw demand observation; updates the EWMA and marks the node
   /// for the next report sweep.
@@ -194,11 +194,6 @@ class Tree {
   /// comment).  Off by default so a bare Tree behaves like the full walk.
   void set_incremental(bool on) { incremental_ = on; }
   [[nodiscard]] bool incremental() const { return incremental_; }
-  /// Dead-band on demand reports (W): a node re-reports only when its
-  /// smoothed demand moved more than this since its last report.  0 = exact
-  /// (a report on every bitwise change).
-  void set_report_deadband(Watts w) { deadband_ = w; }
-  [[nodiscard]] Watts report_deadband() const { return deadband_; }
   /// Debug shadow mode: every node the incremental sweep skips is re-derived
   /// from its inputs; any divergence from the full walk throws
   /// std::logic_error.
@@ -220,7 +215,7 @@ class Tree {
   /// had its measurement observed; internal nodes then observe the sum of
   /// their children's *reported* demands, bottom-up.  A node sends a report
   /// (one `up` message + one kLinkMessage) only when its smoothed demand
-  /// moved beyond the dead-band since its last report.
+  /// moved since its last report.
   void report_demands();
 
   /// Nodes whose report fired during the most recent report_demands() sweep,
@@ -265,7 +260,6 @@ class Tree {
   obs::EventBus* bus_ = nullptr;
   bool incremental_ = false;
   bool shadow_diff_ = false;
-  Watts deadband_{0.0};
   std::vector<NodeId> reported_last_sweep_;
   /// Sweep instruments, resolved when the bus is attached (the registry
   /// outlives the tree's use of it; counters are stable references).

@@ -60,7 +60,7 @@ void Fabric::begin_period() {
 }
 
 void Fabric::add_server_traffic(NodeId server, double units) {
-  if (units < 0.0) {
+  if (!(units >= 0.0)) {
     throw std::invalid_argument("add_server_traffic: negative units");
   }
   if (server >= parent_.size()) {
@@ -89,7 +89,7 @@ NodeId Fabric::lca(NodeId a, NodeId b) const {
 
 std::size_t Fabric::add_migration(NodeId from_server, NodeId to_server,
                                   double payload_units) {
-  if (payload_units < 0.0) {
+  if (!(payload_units >= 0.0)) {
     throw std::invalid_argument("add_migration: negative payload");
   }
   // A degenerate self-migration still transits the server's edge switch.
@@ -125,7 +125,7 @@ std::size_t Fabric::add_migration(NodeId from_server, NodeId to_server,
 
 std::size_t Fabric::add_flow_traffic(NodeId server_a, NodeId server_b,
                                      double units) {
-  if (units < 0.0) {
+  if (!(units >= 0.0)) {
     throw std::invalid_argument("add_flow_traffic: negative units");
   }
   if (server_a == server_b) return 0;  // co-located: stays on the host

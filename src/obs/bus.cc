@@ -9,35 +9,11 @@ void EventBus::add_sink(std::shared_ptr<Sink> sink) {
   sinks_.push_back(std::move(sink));
 }
 
-void EventBus::dispatch(const Event& event) {
-  metrics_.counter("obs.events_emitted").increment();
-  for (const auto& sink : sinks_) sink->on_event(event);
-}
-
 void EventBus::emit(Event event) {
   if (!enabled()) return;
   event.tick = tick_;
-  dispatch(event);
-}
-
-void EventBus::begin_shards(std::size_t slots) {
-  if (!enabled()) return;
-  shard_staging_.resize(slots);
-  for (auto& slot : shard_staging_) slot.events.clear();
-}
-
-void EventBus::emit_shard(std::size_t slot, Event event) {
-  if (!enabled()) return;
-  event.tick = tick_;
-  shard_staging_[slot].events.push_back(std::move(event));
-}
-
-void EventBus::end_shards() {
-  if (!enabled()) return;
-  for (auto& slot : shard_staging_) {
-    for (const Event& e : slot.events) dispatch(e);
-    slot.events.clear();
-  }
+  metrics_.counter("obs.events_emitted").increment();
+  for (const auto& sink : sinks_) sink->on_event(event);
 }
 
 void EventBus::flush() {

@@ -1,17 +1,11 @@
 // The event bus: emitters on one side, pluggable sinks on the other.
 //
-// Emission discipline (the determinism contract):
-//
-//   * Serial code (controller phases, tree sweeps, UPS stepping) calls
-//     emit(); events reach the sinks immediately, in call order.
-//   * Sharded code (the simulator's parallel_for_ranges phases) must NOT
-//     call emit() — workers would interleave nondeterministically.  Instead
-//     the phase brackets itself with begin_shards(n) / end_shards() and each
-//     worker deposits via emit_shard(slot, e) into the slot it owns (slot ==
-//     server index; the range partition gives each index to exactly one
-//     worker, so slots need no locks).  end_shards() drains the slots in
-//     ascending index order, making the merged stream a pure function of the
-//     configuration — bit-identical for any SimConfig::threads.
+// Emission discipline (the determinism contract): only serial code emits.
+// Events reach the sinks immediately, in call order.  A sharded phase (the
+// simulator's parallel_for_ranges batches) emits nothing from its workers;
+// when it has events to report it emits them on the driving thread after the
+// batch returns, in ascending slot order, so the stream is a pure function
+// of the configuration — bit-identical for any SimConfig::threads.
 //
 // The bus stamps every event with the current tick (set_tick) so emitters
 // deep in the stack need no tick plumbing.  With no sinks attached the bus
@@ -51,16 +45,8 @@ class EventBus {
   void set_tick(long tick) { tick_ = tick; }
   [[nodiscard]] long tick() const { return tick_; }
 
-  /// Serial emission: stamp the tick and dispatch immediately.
+  /// Stamp the tick and dispatch to every sink immediately.
   void emit(Event event);
-
-  /// Bracket a sharded phase: size (and clear) the per-slot staging area.
-  void begin_shards(std::size_t slots);
-  /// Deposit from a worker into the slot it owns.  No locking: each slot
-  /// must be written by exactly one worker per phase.
-  void emit_shard(std::size_t slot, Event event);
-  /// Drain slots 0..n-1 in order through the sinks and clear the staging.
-  void end_shards();
 
   /// Ask all sinks to flush (end of run).
   void flush();
@@ -69,19 +55,7 @@ class EventBus {
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
 
  private:
-  void dispatch(const Event& event);
-
-  /// One staging slot per server, padded to a cache line: neighbouring slots
-  /// are written by different workers during a sharded phase (the chunk
-  /// partition hands adjacent indices to whoever claims the chunk), and an
-  /// unpadded vector header is 24 bytes — three slots per line, i.e. false
-  /// sharing on every boundary push_back.
-  struct alignas(64) ShardSlot {
-    std::vector<Event> events;
-  };
-
   std::vector<std::shared_ptr<Sink>> sinks_;
-  std::vector<ShardSlot> shard_staging_;
   MetricsRegistry metrics_;
   long tick_ = 0;
 };

@@ -6,14 +6,22 @@
 
 namespace willow::obs {
 
-JsonlTraceSink::JsonlTraceSink(std::ostream& os) : os_(os) {
-  util::JsonWriter w(os_);
+namespace {
+
+void write_header(std::ostream& os) {
+  util::JsonWriter w(os);
   w.begin_object();
   w.key("schema_version").value(kTraceSchemaVersion);
   w.key("stream").value("willow_trace");
   w.end_object();
   w.finish();
-  os_ << '\n';
+  os << '\n';
+}
+
+}  // namespace
+
+JsonlTraceSink::JsonlTraceSink(std::ostream& os) : os_(os) {
+  write_header(os_);
 }
 
 JsonlTraceSink::JsonlTraceSink(const std::string& path)
@@ -22,13 +30,7 @@ JsonlTraceSink::JsonlTraceSink(const std::string& path)
   if (!*owned_) {
     throw std::runtime_error("JsonlTraceSink: cannot open " + path);
   }
-  util::JsonWriter w(os_);
-  w.begin_object();
-  w.key("schema_version").value(kTraceSchemaVersion);
-  w.key("stream").value("willow_trace");
-  w.end_object();
-  w.finish();
-  os_ << '\n';
+  write_header(os_);
 }
 
 void JsonlTraceSink::on_event(const Event& e) {

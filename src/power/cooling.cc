@@ -24,7 +24,7 @@ double CoolingModel::cop(Celsius outside) const {
 }
 
 Watts CoolingModel::cooling_power(Watts it_power, Celsius outside) const {
-  if (it_power.value() < 0.0) {
+  if (!(it_power.value() >= 0.0)) {
     throw std::invalid_argument("CoolingModel: negative IT power");
   }
   return config_.fan_floor + Watts{it_power.value() / cop(outside)};

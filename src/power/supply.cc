@@ -58,7 +58,7 @@ SolarSupply::SolarSupply(Watts grid_floor, Watts solar_peak, Seconds day_length,
   if (!(day_length.value() > 0.0)) {
     throw std::invalid_argument("SolarSupply: day_length must be > 0");
   }
-  if (cloudiness < 0.0 || cloudiness > 1.0) {
+  if (!(cloudiness >= 0.0 && cloudiness <= 1.0)) {
     throw std::invalid_argument("SolarSupply: cloudiness must be in [0,1]");
   }
 }

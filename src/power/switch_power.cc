@@ -14,7 +14,7 @@ SwitchPowerModel::SwitchPowerModel(Watts static_power,
 }
 
 Watts SwitchPowerModel::power(double traffic) const {
-  if (traffic < 0.0) {
+  if (!(traffic >= 0.0)) {
     throw std::invalid_argument("SwitchPowerModel::power: traffic < 0");
   }
   return static_power_ + Watts{watts_per_unit_ * traffic};

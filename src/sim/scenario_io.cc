@@ -373,9 +373,6 @@ constexpr ScenarioKey kController[] = {
     {"shadow_diff", "false",
      "re-derive every incremental skip; abort on bitwise divergence",
      [](Draft& d) { d.cfg.shadow_diff = d.flag(); }},
-    {"report_deadband_w", "0.25",
-     "min demand movement before a node re-reports",
-     [](Draft& d) { d.cfg.controller.report_deadband = Watts{d.real()}; }},
     {"stale_timeout_ticks", "3",
      "degraded mode: reports stale after N silent ticks (0 = off)",
      [](Draft& d) { d.cfg.controller.stale_timeout_ticks = d.int_field(); }},

@@ -38,7 +38,7 @@ class PoissonDemand {
   /// workload::IntensityProfile).
   template <typename RngT>
   void refresh(Application& app, RngT& rng, double intensity = 1.0) const {
-    if (intensity < 0.0) {
+    if (!(intensity >= 0.0)) {
       throw std::invalid_argument("PoissonDemand::refresh: negative intensity");
     }
     app.set_demand(app.dropped()
@@ -66,7 +66,7 @@ class ConstantDemand {
   /// `intensity` scales the mean exactly as PoissonDemand::refresh does, so
   /// the deterministic path follows the same demand-side intensity profile.
   static void refresh(Application& app, double intensity = 1.0) {
-    if (intensity < 0.0) {
+    if (!(intensity >= 0.0)) {
       throw std::invalid_argument(
           "ConstantDemand::refresh: negative intensity");
     }

@@ -8,7 +8,7 @@ void FlowSet::add(Flow flow) {
   if (flow.a == kInvalidApp || flow.b == kInvalidApp || flow.a == flow.b) {
     throw std::invalid_argument("FlowSet::add: invalid endpoints");
   }
-  if (flow.traffic_units < 0.0) {
+  if (!(flow.traffic_units >= 0.0)) {
     throw std::invalid_argument("FlowSet::add: negative traffic");
   }
   flows_.push_back(flow);

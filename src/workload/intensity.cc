@@ -10,7 +10,7 @@ constexpr double kTwoPi = 6.283185307179586;
 }
 
 ConstantIntensity::ConstantIntensity(double factor) : factor_(factor) {
-  if (factor < 0.0) {
+  if (!(factor >= 0.0)) {
     throw std::invalid_argument("ConstantIntensity: negative factor");
   }
 }
@@ -18,7 +18,7 @@ ConstantIntensity::ConstantIntensity(double factor) : factor_(factor) {
 DiurnalIntensity::DiurnalIntensity(double base, double amplitude,
                                    util::Seconds period, util::Seconds phase)
     : base_(base), amplitude_(amplitude), period_(period), phase_(phase) {
-  if (base < 0.0 || amplitude < 0.0) {
+  if (!(base >= 0.0) || !(amplitude >= 0.0)) {
     throw std::invalid_argument("DiurnalIntensity: negative parameter");
   }
   if (!(period.value() > 0.0)) {
@@ -42,7 +42,7 @@ TraceIntensity::TraceIntensity(std::vector<double> factors, util::Seconds step)
     throw std::invalid_argument("TraceIntensity: step must be > 0");
   }
   for (double f : factors_) {
-    if (f < 0.0) throw std::invalid_argument("TraceIntensity: negative factor");
+    if (!(f >= 0.0)) throw std::invalid_argument("TraceIntensity: negative factor");
   }
 }
 

@@ -18,7 +18,7 @@ std::vector<Application> build_mix(const MixConfig& cfg, AppIdAllocator& ids,
   }
   double weight_sum = 0.0;
   for (double w : cfg.class_weights) {
-    if (w < 0.0) throw std::invalid_argument("build_mix: negative weight");
+    if (!(w >= 0.0)) throw std::invalid_argument("build_mix: negative weight");
     weight_sum += w;
   }
   if (!cfg.class_weights.empty() && weight_sum <= 0.0) {

@@ -6,7 +6,7 @@
 namespace willow::workload {
 
 double response_inflation(double utilization, double max_inflation) {
-  if (utilization < 0.0) {
+  if (!(utilization >= 0.0)) {
     throw std::invalid_argument("response_inflation: negative utilization");
   }
   if (!(max_inflation >= 1.0)) {
@@ -30,7 +30,7 @@ SlaTracker::SlaTracker(double sla_inflation) : sla_(sla_inflation) {
 }
 
 void SlaTracker::record(double offered_w, double utilization) {
-  if (offered_w < 0.0) {
+  if (!(offered_w >= 0.0)) {
     throw std::invalid_argument("SlaTracker::record: negative demand");
   }
   if (offered_w == 0.0) return;
@@ -43,7 +43,7 @@ void SlaTracker::record(double offered_w, double utilization) {
 }
 
 void SlaTracker::record_denied(double offered_w) {
-  if (offered_w < 0.0) {
+  if (!(offered_w >= 0.0)) {
     throw std::invalid_argument("SlaTracker::record_denied: negative demand");
   }
   offered_total_ += offered_w;

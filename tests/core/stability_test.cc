@@ -122,28 +122,6 @@ TEST(AssessStability, FlagsInsufficientMargin) {
   EXPECT_LT(a.margin_headroom.value(), 0.0);
 }
 
-TEST(AssessStability, DeadbandMustStayBelowMargin) {
-  // A report dead-band absorbs demand movement without re-reporting; that is
-  // only safe while the absorbed movement could never warrant a migration,
-  // i.e. deadband < P_min.  At or above the margin the Property 4 argument
-  // breaks: actionable deficits could hide below the reporting threshold.
-  const auto tree = four_level_tree();
-  ControllerConfig cfg;
-  cfg.demand_period = Seconds{0.5};
-  cfg.eta1 = 4;
-  cfg.margin = 10_W;
-  const auto at = [&](double deadband) {
-    cfg.report_deadband = Watts{deadband};
-    return assess_stability(tree, cfg, Seconds{0.010}, Watts{3.0}, 0.7);
-  };
-  EXPECT_TRUE(at(0.0).deadband_ok);  // trivially safe (report every change)
-  EXPECT_TRUE(at(0.0).stable());
-  EXPECT_TRUE(at(5.0).deadband_ok);  // below the margin
-  EXPECT_FALSE(at(10.0).deadband_ok);  // equal: jitter can hide a deficit
-  EXPECT_FALSE(at(10.0).stable());
-  EXPECT_FALSE(at(15.0).deadband_ok);  // above
-}
-
 // ---------------------------------------------------------------------------
 // Property 4, behaviorally: the closed-form margin check above corresponds
 // to what the controller actually does under demand jitter.

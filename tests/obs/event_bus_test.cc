@@ -1,11 +1,13 @@
-// EventBus semantics: tick stamping, sink fan-out, deterministic shard
-// merging, the stock sinks (ring buffer, counting, JSONL), and the event
-// vocabulary.
+// EventBus semantics: tick stamping, sink fan-out, the stock sinks (ring
+// buffer, counting, JSONL), and the event vocabulary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -17,7 +19,7 @@
 namespace willow::obs {
 namespace {
 
-// Events are copied into shard staging slots and ring buffers by value.
+// Events are copied into ring buffers by value.
 static_assert(std::is_trivially_copyable_v<Event>);
 
 Event make(EventType type, std::uint32_t node, double value = 0.0) {
@@ -62,44 +64,11 @@ TEST(EventBus, FansOutToEverySink) {
   EXPECT_EQ(b->count(EventType::kWake), 1u);
 }
 
-TEST(EventBus, ShardDrainOrderIsSlotOrderNotDepositOrder) {
-  EventBus bus;
-  auto ring = std::make_shared<RingBufferSink>(16);
-  bus.add_sink(ring);
-  bus.begin_shards(4);
-  // Deposit out of order, as racing workers would.
-  bus.emit_shard(3, make(EventType::kDemandReport, 3));
-  bus.emit_shard(0, make(EventType::kDemandReport, 0));
-  bus.emit_shard(2, make(EventType::kDemandReport, 2));
-  bus.emit_shard(1, make(EventType::kDemandReport, 1));
-  EXPECT_EQ(ring->events().size(), 0u) << "staged events leaked early";
-  bus.end_shards();
-  ASSERT_EQ(ring->events().size(), 4u);
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(ring->events()[i].node, i);
-  }
-}
-
-TEST(EventBus, ShardSlotKeepsWithinSlotOrderAndEmptySlotsAreFine) {
-  EventBus bus;
-  auto ring = std::make_shared<RingBufferSink>(16);
-  bus.add_sink(ring);
-  bus.begin_shards(3);
-  bus.emit_shard(2, make(EventType::kDemandReport, 2, 1.0));
-  bus.emit_shard(2, make(EventType::kDemandReport, 2, 2.0));
-  bus.end_shards();
-  ASSERT_EQ(ring->events().size(), 2u);
-  EXPECT_EQ(ring->events()[0].value, 1.0);
-  EXPECT_EQ(ring->events()[1].value, 2.0);
-}
-
 TEST(EventBus, CountsEmittedEventsInRegistry) {
   EventBus bus;
   bus.add_sink(std::make_shared<CountingSink>());
   bus.emit(make(EventType::kMigration, 0));
-  bus.begin_shards(2);
-  bus.emit_shard(1, make(EventType::kDemandReport, 1));
-  bus.end_shards();
+  bus.emit(make(EventType::kDemandReport, 1));
   EXPECT_EQ(bus.metrics().snapshot().counter_or_zero("obs.events_emitted"),
             2u);
 }
@@ -126,6 +95,32 @@ TEST(JsonlTraceSink, WritesHeaderAndOneLinePerEvent) {
   EXPECT_EQ(sink.lines_written(), 1u);
   // Header + one event line.
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
+}
+
+TEST(JsonlTraceSink, PathFormStartsWithTheSchemaHeader) {
+  std::ostringstream header;
+  { JsonlTraceSink stream_sink(header); }
+  const std::string path = ::testing::TempDir() + "/jsonl_sink_test.jsonl";
+  {
+    JsonlTraceSink sink(path);
+    sink.on_event(make(EventType::kMigration, 5, 2.5));
+    sink.flush();
+    EXPECT_EQ(sink.lines_written(), 1u);
+  }
+  std::ifstream in(path);
+  std::string first;
+  std::string second;
+  ASSERT_TRUE(std::getline(in, first));
+  ASSERT_TRUE(std::getline(in, second));
+  EXPECT_EQ(first + "\n", header.str());
+  EXPECT_NE(second.find("\"type\":\"migration\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(JsonlTraceSink, UnopenablePathThrows) {
+  const std::string path =
+      ::testing::TempDir() + "/no_such_directory/trace.jsonl";
+  EXPECT_THROW(JsonlTraceSink{path}, std::runtime_error);
 }
 
 TEST(EventNames, StableIdentifiers) {

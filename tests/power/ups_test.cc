@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "obs/bus.h"
+#include "obs/sink.h"
+
 namespace willow::power {
 namespace {
 
@@ -27,6 +32,25 @@ TEST(Ups, SurplusPassesThroughAndRecharges) {
   EXPECT_DOUBLE_EQ(delivered.value(), 60.0);
   // Recharge limited by max_charge (5 W for 2 s = 10 J).
   EXPECT_DOUBLE_EQ(ups.stored().value(), 10.0);
+}
+
+TEST(Ups, RechargeEmitsOneChargeEvent) {
+  obs::EventBus bus;
+  auto ring = std::make_shared<obs::RingBufferSink>(8);
+  bus.add_sink(ring);
+  Ups ups(100_J, 10_W, 5_W, 0.5);
+  ups.set_event_bus(&bus);
+  ups.step(100_W, 60_W, 2_s);  // 5 W for 2 s: 50 J -> 60 J
+  ASSERT_EQ(ring->events().size(), 1u);
+  const obs::Event& e = ring->events()[0];
+  EXPECT_EQ(e.type, obs::EventType::kUpsCharge);
+  EXPECT_DOUBLE_EQ(e.value, 5.0);
+  EXPECT_DOUBLE_EQ(e.aux, 0.6);
+
+  Ups full(100_J, 10_W, 5_W, 1.0);  // nothing to store: no event
+  full.set_event_bus(&bus);
+  full.step(100_W, 60_W, 2_s);
+  EXPECT_EQ(ring->events().size(), 1u);
 }
 
 TEST(Ups, RechargeCapsAtCapacity) {

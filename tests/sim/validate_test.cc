@@ -11,13 +11,24 @@
 #include <utility>
 #include <vector>
 
+#include "binpack/exact.h"
+#include "core/allocation.h"
 #include "core/cluster.h"
+#include "fault/fault.h"
+#include "hier/convergence.h"
+#include "net/fabric.h"
 #include "power/cooling.h"
 #include "power/server_power.h"
 #include "power/supply.h"
 #include "power/switch_power.h"
 #include "power/ups.h"
+#include "util/rng.h"
 #include "workload/application.h"
+#include "workload/demand.h"
+#include "workload/flows.h"
+#include "workload/intensity.h"
+#include "workload/mix.h"
+#include "workload/qos.h"
 #include "sim/scenario_io.h"
 #include "sim/simulation.h"
 
@@ -160,6 +171,68 @@ TEST(LibraryArgumentChecks, NanIsRejected) {
                std::invalid_argument);
   EXPECT_THROW(cluster.add_temporary_demand(server, Watts{nan}, 1),
                std::invalid_argument);
+
+  EXPECT_THROW(workload::ConstantDemand::refresh(app, nan),
+               std::invalid_argument);
+  util::Rng rng(1);
+  EXPECT_THROW(workload::PoissonDemand(1_W).refresh(app, rng, nan),
+               std::invalid_argument);
+  EXPECT_THROW(power::SolarSupply(100_W, 200_W, util::Seconds{60.0}, nan, 1),
+               std::invalid_argument);
+  EXPECT_THROW(workload::ConstantIntensity{nan}, std::invalid_argument);
+  EXPECT_THROW(workload::DiurnalIntensity(nan, 0.5, util::Seconds{60.0}),
+               std::invalid_argument);
+  EXPECT_THROW(workload::DiurnalIntensity(1.0, nan, util::Seconds{60.0}),
+               std::invalid_argument);
+  EXPECT_THROW(workload::TraceIntensity({1.0, nan}, util::Seconds{1.0}),
+               std::invalid_argument);
+
+  net::Fabric fabric(cluster.tree(), net::FabricConfig{});
+  EXPECT_THROW(fabric.add_server_traffic(server, nan), std::invalid_argument);
+  EXPECT_THROW(fabric.add_migration(server, server, nan),
+               std::invalid_argument);
+  EXPECT_THROW(fabric.add_flow_traffic(server, server, nan),
+               std::invalid_argument);
+
+  EXPECT_THROW((void)workload::response_inflation(nan),
+               std::invalid_argument);
+  workload::SlaTracker sla(1.5);
+  EXPECT_THROW(sla.record(nan, 0.5), std::invalid_argument);
+  EXPECT_THROW(sla.record_denied(nan), std::invalid_argument);
+  workload::FlowSet flows;
+  EXPECT_THROW(flows.add({1, 2, nan}), std::invalid_argument);
+  workload::MixConfig mix;
+  mix.class_weights.assign(workload::simulation_catalog().size(), 1.0);
+  mix.class_weights.back() = nan;
+  workload::AppIdAllocator ids;
+  EXPECT_THROW(workload::build_mix(mix, ids, rng), std::invalid_argument);
+
+  EXPECT_THROW(core::allocate_proportional(Watts{nan}, {10_W}, {20_W}),
+               std::invalid_argument);
+  EXPECT_THROW((void)power::SwitchPowerModel(5_W, 40.0).power(nan),
+               std::invalid_argument);
+  EXPECT_THROW((void)power::CoolingModel{}.cooling_power(Watts{nan},
+                                                         util::Celsius{20.0}),
+               std::invalid_argument);
+  const auto& tree = cluster.tree();
+  EXPECT_THROW(hier::analyze_convergence(tree, util::Seconds{nan}, 10.0),
+               std::invalid_argument);
+  EXPECT_THROW(hier::analyze_convergence(tree, util::Seconds{0.01}, nan),
+               std::invalid_argument);
+  EXPECT_THROW(binpack::exact_pack({{1, nan, 0}}, {{1, 10.0, 0}}),
+               std::invalid_argument);
+
+  // A NaN fault probability would pass validation and then never fire.
+  fault::FaultConfig faults;
+  faults.crash_probability = nan;
+  faults.link.up_loss = nan;
+  faults.power_sensor.stuck_probability = nan;
+  faults.sensor_fault_mean_ticks = nan;
+  const auto errors = faults.validate("faults.");
+  EXPECT_TRUE(mentions(errors, "faults.crash_probability"));
+  EXPECT_TRUE(mentions(errors, "faults.link.up_loss"));
+  EXPECT_TRUE(mentions(errors, "faults.power_sensor.stuck_probability"));
+  EXPECT_TRUE(mentions(errors, "faults.sensor_fault_mean_ticks"));
 }
 
 TEST(ControllerConfigValidate, NanAndNegativeFieldsAreNamed) {
@@ -173,8 +246,6 @@ TEST(ControllerConfigValidate, NanAndNegativeFieldsAreNamed) {
            [&](ControllerConfig& c) { c.migration_cost = util::Watts{nan}; }},
           {"consolidation_threshold",
            [&](ControllerConfig& c) { c.consolidation_threshold = nan; }},
-          {"report_deadband",
-           [&](ControllerConfig& c) { c.report_deadband = util::Watts{nan}; }},
           {"migration_periods_per_gib",
            [&](ControllerConfig& c) { c.migration_periods_per_gib = nan; }},
           {"migration_periods_per_gib",
